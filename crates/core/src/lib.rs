@@ -43,7 +43,8 @@ pub use exact::solve_welmax_bruteforce;
 pub use objective::{ObjectiveSpec, PER_COMMUNITY_PARTITION_SEED};
 pub use problem::{InstanceError, WelMax, WelMaxInstance};
 pub use solver::{
-    registry, score_report, Allocator, RegistryEntry, RegistryError, SolveCtx, Unsupported, WarmGrd,
+    estimate_welfare, registry, score_report, score_report_with, Allocator, RegistryEntry,
+    RegistryError, SolveCtx, Unsupported, WarmGrd,
 };
 // The unified report type lives in uic-diffusion (below every algorithm
 // crate); re-export it here so `uic_core::{Allocator, SolveReport}` is a

@@ -42,10 +42,11 @@ use std::fmt;
 use std::time::Instant;
 use uic_baselines as baselines;
 use uic_datasets::{SolverSpec, SpecError, SpecMap};
-use uic_diffusion::{ObjectiveError, SolveReport, WelfareEstimator};
+use uic_diffusion::{Allocation, ObjectiveError, SolveReport, WelfareEstimator};
 use uic_graph::NodeId;
 use uic_im::{DiffusionModel, RrCollection};
 use uic_items::{GapParams, ItemSet};
+use uic_util::OnlineStats;
 
 /// Shared run context: seeds, welfare-scoring effort, and threading.
 /// Algorithm-specific knobs (ε, ℓ, damping, …) live on the typed
@@ -181,16 +182,43 @@ pub trait Allocator {
 /// arena lock and must score *outside* it — complete their reports
 /// bit-identically to `solve`.
 pub fn score_report(inst: &WelMaxInstance, ctx: &SolveCtx, report: &mut SolveReport) {
+    score_report_with(inst, ctx, report, |allocation| {
+        estimate_welfare(inst, ctx, allocation)
+    });
+}
+
+/// [`score_report`] with the welfare statistics supplied by `welfare`,
+/// which is called (once) only when `ctx.sims > 0`. A caller holding a
+/// memo of earlier [`estimate_welfare`] results for the same inputs
+/// answers from it here and still gets the same stamping.
+pub fn score_report_with(
+    inst: &WelMaxInstance,
+    ctx: &SolveCtx,
+    report: &mut SolveReport,
+    welfare: impl FnOnce(&Allocation) -> OnlineStats,
+) {
     report.seed = ctx.seed;
     report.budgets_used = report.allocation.budgets_used(inst.num_items());
     if ctx.sims > 0 {
-        let mut est = WelfareEstimator::new(inst.graph(), inst.model(), ctx.sims, ctx.welfare_seed)
-            .with_objective(inst.objective().clone());
-        if let Some(t) = ctx.threads {
-            est = est.with_threads(t);
-        }
-        report.welfare = Some(est.estimate_stats(&report.allocation));
+        report.welfare = Some(welfare(&report.allocation));
     }
+}
+
+/// The Monte-Carlo welfare statistics [`score_report`] attaches: a pure
+/// function of the instance (graph, utility model, objective), the
+/// allocation, and `ctx.sims` / `ctx.welfare_seed` (bit-identical for
+/// every `ctx.threads`).
+pub fn estimate_welfare(
+    inst: &WelMaxInstance,
+    ctx: &SolveCtx,
+    allocation: &Allocation,
+) -> OnlineStats {
+    let mut est = WelfareEstimator::new(inst.graph(), inst.model(), ctx.sims, ctx.welfare_seed)
+        .with_objective(inst.objective().clone());
+    if let Some(t) = ctx.threads {
+        est = est.with_threads(t);
+    }
+    est.estimate_stats(allocation)
 }
 
 // ---------------------------------------------------------------------

@@ -6,11 +6,18 @@
 //! engine therefore keeps every piece of per-cascade state in flat arrays
 //! indexed by the graph's dense `u32` node ids and stable global edge ids:
 //!
-//! * node `(desire, adoption)` state in an [`EpochMap`] — `reset()` is an
-//!   epoch bump, so starting a cascade costs `O(1)`, not `O(n)`;
-//! * edge-coin memoization in an [`EdgeStatusCache`] — each edge is
-//!   flipped at most once per cascade (Fig. 1) and the outcome is
-//!   remembered by edge id, not a hash of it;
+//! * node `(desire, adoption, expanded)` state in an [`EpochMap`] —
+//!   `reset()` is an epoch bump, so starting a cascade costs `O(1)`, not
+//!   `O(n)`;
+//! * edge coins in a bit-packed memo (`m` bits, one `u64` per 64 edges).
+//!   A UIC cascade queries edge `(u, v)` only while expanding `u`, and
+//!   `u`'s first expansion tests every out-edge in order (Fig. 1), so
+//!   the lazy path flips `u`'s coins into the bitset on that first
+//!   expansion and replays them on later ones. The per-node `expanded`
+//!   flag says which; a node's bits are always rewritten before they are
+//!   read, so the bitset is never reset. (Com-IC, the personalized
+//!   simulator and the RR-SIM passes keep their own
+//!   [`EdgeStatusCache`](uic_util::EdgeStatusCache)s.)
 //! * the frontier double-buffer and touched-node lists in reusable `Vec`s.
 //!
 //! After warm-up no allocation happens per cascade. How edge liveness is
@@ -21,7 +28,8 @@
 //!
 //! The [`mod@reference`] module keeps the original hash-map implementation as
 //! a correctness oracle: the proptest suite below checks dense-vs-
-//! reference equivalence on random instances, and `benches/engine.rs`
+//! reference equivalence on random instances (including the RNG position
+//! after back-to-back cascades on one state), and `benches/engine.rs`
 //! measures the speedup.
 
 use crate::allocation::Allocation;
@@ -29,31 +37,67 @@ use crate::uic::UicOutcome;
 use crate::worlds::LiveEdgeWorld;
 use uic_graph::{Graph, NodeId};
 use uic_items::{AdoptionOracle, ItemSet, UtilityTable};
-use uic_util::{EdgeStatusCache, EpochMap, UicRng, VisitTags};
+use uic_util::{EpochMap, UicRng, VisitTags};
 
 /// Decides edge liveness during a cascade, identified by global edge id.
 ///
 /// Implementations must be *consistent within one cascade*: asking about
 /// the same edge twice returns the same answer (the UIC model flips each
-/// coin at most once).
+/// coin at most once). The engine queries a node's out-edges only while
+/// expanding it, all of them, in edge-id order, after announcing the
+/// expansion with [`begin_node`](Self::begin_node).
 pub trait EdgeOracle {
+    /// Called before a node's out-edges are queried; `first` is true on
+    /// the node's first expansion this cascade.
+    #[inline]
+    fn begin_node(&mut self, _first: bool) {}
+
     /// Is the edge with global id `edge_id` (base probability `p`) live?
     fn is_live(&mut self, edge_id: usize, p: f32) -> bool;
 }
 
-/// Lazy coin flipping with per-edge memoization — the Monte-Carlo mode.
+/// Lazy coin flipping into a bit-packed memo — the Monte-Carlo mode.
+///
+/// On a node's first expansion each out-edge coin is drawn from `rng`
+/// and written to bit `edge_id` of `bits`; on later expansions the bits
+/// are replayed without touching `rng`. The stream is consumed in exactly
+/// the order a per-edge "flip once, remember" cache would consume it.
 pub struct LazyCoins<'a> {
     /// Coin source.
-    pub rng: &'a mut UicRng,
-    /// Memoized outcomes, reset once per cascade by the caller.
-    pub coins: &'a mut EdgeStatusCache,
+    rng: &'a mut UicRng,
+    /// One bit per global edge id; only bits of expanded nodes are valid.
+    bits: &'a mut [u64],
+    /// Whether the current node replays its bits (set by `begin_node`).
+    replay: bool,
+}
+
+impl<'a> LazyCoins<'a> {
+    /// An oracle drawing from `rng` into `bits` (at least `m` bits).
+    pub fn new(rng: &'a mut UicRng, bits: &'a mut [u64]) -> Self {
+        LazyCoins {
+            rng,
+            bits,
+            replay: false,
+        }
+    }
 }
 
 impl EdgeOracle for LazyCoins<'_> {
     #[inline]
+    fn begin_node(&mut self, first: bool) {
+        self.replay = !first;
+    }
+
+    #[inline]
     fn is_live(&mut self, edge_id: usize, p: f32) -> bool {
-        let rng = &mut *self.rng;
-        self.coins.get_or_flip(edge_id, || rng.coin(p as f64))
+        let word = &mut self.bits[edge_id >> 6];
+        let bit = edge_id & 63;
+        if self.replay {
+            return (*word >> bit) & 1 == 1;
+        }
+        let live = self.rng.coin(p as f64);
+        *word = (*word & !(1u64 << bit)) | ((live as u64) << bit);
+        live
     }
 }
 
@@ -68,15 +112,17 @@ impl EdgeOracle for WorldOracle<'_> {
     }
 }
 
-/// Per-node diffusion state: desire set `R(v)` and adoption set `A(v)`.
+/// Per-node diffusion state: desire set `R(v)`, adoption set `A(v)`, and
+/// whether the node's out-edges were already expanded this cascade.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct NodeState {
     desire: ItemSet,
     adopted: ItemSet,
+    expanded: bool,
 }
 
 /// Reusable dense cascade state: owns the per-node `(desire, adoption)`
-/// arrays, the per-edge coin cache, and the frontier double-buffer.
+/// arrays, the bit-packed edge-coin memo, and the frontier double-buffer.
 ///
 /// One `CascadeState` serves arbitrarily many cascades on the same graph;
 /// all resets are epoch bumps or `Vec::clear`, so a Monte-Carlo loop is
@@ -84,7 +130,8 @@ struct NodeState {
 #[derive(Debug)]
 pub struct CascadeState {
     node: EpochMap<NodeState>,
-    coins: EdgeStatusCache,
+    /// Edge-coin memo of the lazy path: bit `e` of word `e / 64`.
+    coins: Vec<u64>,
     /// Nodes informed this cascade, in first-contact order.
     informed: Vec<NodeId>,
     frontier: Vec<NodeId>,
@@ -103,7 +150,7 @@ impl CascadeState {
         let n = g.num_nodes() as usize;
         CascadeState {
             node: EpochMap::new(n),
-            coins: EdgeStatusCache::new(g.num_edges()),
+            coins: vec![0; g.num_edges().div_ceil(64)],
             informed: Vec::new(),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
@@ -121,15 +168,11 @@ impl CascadeState {
         table: &UtilityTable,
         rng: &mut UicRng,
     ) -> UicOutcome {
-        // Detach the coin cache so the oracle and the node-state loop can
-        // borrow disjoint parts of `self` (the swap is pointer-sized).
-        let mut coins = std::mem::replace(&mut self.coins, EdgeStatusCache::new(0));
-        coins.reset();
-        let mut oracle = LazyCoins {
-            rng,
-            coins: &mut coins,
-        };
-        let out = self.run_with(g, allocation, table, &mut oracle);
+        // Detach the coin memo so the oracle and the node-state loop can
+        // borrow disjoint parts of `self` (the swap is pointer-sized). No
+        // reset: a node's bits are rewritten on its first expansion.
+        let mut coins = std::mem::take(&mut self.coins);
+        let out = self.run_with(g, allocation, table, &mut LazyCoins::new(rng, &mut coins));
         self.coins = coins;
         out
     }
@@ -177,6 +220,7 @@ impl CascadeState {
                 NodeState {
                     desire: items,
                     adopted,
+                    expanded: false,
                 },
             );
             self.informed.push(v);
@@ -194,8 +238,14 @@ impl CascadeState {
             // already live) out-edges of last round's adopters.
             for fi in 0..self.frontier.len() {
                 let u = self.frontier[fi];
-                let a_u = self.node.get_or_default(u as usize).adopted;
+                let st = self
+                    .node
+                    .get_mut(u as usize)
+                    .expect("frontier node must have state");
+                let a_u = st.adopted;
                 debug_assert!(!a_u.is_empty(), "frontier node {u} adopted nothing");
+                edges.begin_node(!st.expanded);
+                st.expanded = true;
                 let nbrs = g.out_neighbors(u);
                 let probs = g.out_arc_probs(u);
                 let first_eid = g.out_edge_id(u, 0);
@@ -463,6 +513,38 @@ mod tests {
             );
         }
 
+        /// Back-to-back cascades on one `CascadeState` match the reference
+        /// run for run, and leave both RNGs at the same position: the coin
+        /// memo replays bits on re-expansion (≥ 2 items, so nodes expand
+        /// more than once), never leaks cascade 1's bits into cascade 2,
+        /// and consumes exactly one draw per tested edge.
+        #[test]
+        fn back_to_back_cascades_match_reference_and_rng_position(
+            n in 1u32..12,
+            raw_edges in proptest::collection::vec((0u32..64, 0u32..64, 0f32..=1.0), 0..32),
+            num_items in 2u32..5,
+            raw_first in proptest::collection::vec((0u32..64, 0u32..8), 0..8),
+            raw_second in proptest::collection::vec((0u32..64, 0u32..8), 0..8),
+            raw_values in proptest::collection::vec(-1.0f64..2.0, 1..16),
+            seed in 0u64..1_000_000,
+        ) {
+            let g = build_graph(n, &raw_edges);
+            let table = build_table(num_items, &raw_values);
+            let mut sim = CascadeState::new(&g);
+            let mut reference = reference::ReferenceSimulator::new(&g);
+            let mut dense_rng = UicRng::new(seed);
+            let mut ref_rng = UicRng::new(seed);
+            for raw in [&raw_first, &raw_second] {
+                let alloc = build_allocation(n, num_items, raw);
+                let dense = sim.run_lazy(&g, &alloc, &table, &mut dense_rng);
+                let expect = reference.run(&g, &alloc, &table, &mut ref_rng);
+                prop_assert_eq!(&dense.adoptions, &expect.adoptions);
+                prop_assert_eq!(&dense.desires, &expect.desires);
+                prop_assert_eq!(dense.steps, expect.steps);
+                prop_assert_eq!(dense_rng.next_raw(), ref_rng.next_raw());
+            }
+        }
+
         /// Reusing one `CascadeState` across cascades never leaks state
         /// between runs: every cascade matches a fresh-state run.
         #[test]
@@ -503,6 +585,36 @@ mod tests {
         assert_eq!(lazy.adoptions, replay.adoptions);
         assert_eq!(lazy.desires, replay.desires);
         assert_eq!(lazy.steps, replay.steps);
+    }
+
+    #[test]
+    fn re_expansion_replays_first_expansion_coins() {
+        // Seeds 0 (item 0) and 1 (item 1). Node 2 hears item 0 from 0 at
+        // step 1 and item 1 via 1 → 3 → 2 at step 2, so it expands twice:
+        // first with {0}, then with {0, 1}. Its 16 leaf edges are coins;
+        // the second expansion must replay the first one's outcomes, so
+        // every leaf desires either nothing or both items.
+        let mut edges = vec![(0, 2, 1.0), (1, 3, 1.0), (3, 2, 1.0)];
+        edges.extend((4..20).map(|leaf| (2, leaf, 0.5)));
+        let g = Graph::from_edges(20, &edges);
+        let table = UtilityTable::from_values(2, vec![0.0, 1.0, 1.0, 2.0]);
+        let mut alloc = Allocation::new();
+        alloc.assign(0, 0);
+        alloc.assign(1, 1);
+        let mut sim = CascadeState::new(&g);
+        let mut reference = reference::ReferenceSimulator::new(&g);
+        let mut live_leaves = 0;
+        for seed in 0..32 {
+            let out = sim.run_lazy(&g, &alloc, &table, &mut UicRng::new(seed));
+            let expect = reference.run(&g, &alloc, &table, &mut UicRng::new(seed));
+            assert_eq!(out.desires, expect.desires);
+            assert_eq!(out.adoptions, expect.adoptions);
+            for &(v, desire) in out.desires.iter().filter(|&&(v, _)| v >= 4) {
+                assert_eq!(desire, ItemSet(0b11), "leaf {v} saw only one expansion");
+                live_leaves += 1;
+            }
+        }
+        assert!(live_leaves > 0 && live_leaves < 32 * 16, "coins must vary");
     }
 
     #[test]

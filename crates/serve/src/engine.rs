@@ -15,16 +15,21 @@
 //! one arena proceed in parallel); only top-up takes the write lock —
 //! see [`crate::shard`] for the registry, eviction, and panic-healing
 //! design. Welfare scoring (the embarrassingly parallel part) runs
-//! after all locks are dropped, via [`uic_core::score_report`] — the
-//! same completion step `Allocator::solve` uses, which is what makes
-//! the server path reproducible offline.
+//! after all locks are dropped, via [`uic_core::score_report_with`] —
+//! the same completion step `Allocator::solve` uses, which is what makes
+//! the server path reproducible offline. On warm paths the welfare
+//! statistics come from the arena's score memo when the exact scoring
+//! inputs were seen before (see [`crate::shard`]), so a repeat scored
+//! query skips simulation and returns the same `"result"` bytes.
 
 use crate::metrics::ServerMetrics;
 use crate::request::{ErrorCode, ServeError, SolveRequest};
-use crate::shard::ArenaRegistry;
+use crate::shard::{ArenaRegistry, ScoreKey};
 use std::sync::Arc;
 use std::time::Instant;
-use uic_core::{score_report, Allocator, RegistryError, SolveCtx, WarmGrd, WelMax};
+use uic_core::{
+    estimate_welfare, score_report_with, Allocator, RegistryError, SolveCtx, WarmGrd, WelMax,
+};
 use uic_datasets::TwoItemConfig;
 use uic_diffusion::SolveReport;
 use uic_graph::Graph;
@@ -48,7 +53,8 @@ pub struct SolveOutcome {
     /// lock (0 when the prefix was already resident, and on cold
     /// paths).
     pub topup_us: u64,
-    /// Wall time (µs) spent scoring welfare after all locks dropped.
+    /// Wall time (µs) spent scoring welfare after all locks dropped
+    /// (≈ 0 on a score-memo hit).
     pub scoring_us: u64,
 }
 
@@ -133,7 +139,9 @@ impl Engine {
         }
 
         let t_solve = Instant::now();
-        let (mut report, rr_topup, arena_sets, topup_us) = if req.spec.name == WARM_SOLVER {
+        // The arena handle outlives selection so scoring can consult the
+        // arena's score memo (it holds the cell's `Arc`, not its lock).
+        let (mut report, arena) = if req.spec.name == WARM_SOLVER {
             let warm = WarmGrd::from_spec(&req.spec.params)
                 .map_err(|e| ServeError::new(ErrorCode::BadSpec, e.to_string()))?;
             // Selection rides the arena's read lock; only top-up takes
@@ -142,18 +150,34 @@ impl Engine {
             // read is prefix-restricted.
             let handle = self.arenas.checkout(&self.graph, warm.model, req.seed);
             let report = warm.run_shared(&inst, &ctx, &handle)?;
-            let topup = handle.topup();
-            let sets = handle.resident_sets();
-            (report, topup, sets, handle.topup_us())
+            (report, Some(handle))
         } else {
-            let report = solver.run(&inst, &ctx);
-            (report, 0, 0, 0)
+            (solver.run(&inst, &ctx), None)
         };
+        let (rr_topup, arena_sets, topup_us) = arena
+            .as_ref()
+            .map_or((0, 0, 0), |h| (h.topup(), h.resident_sets(), h.topup_us()));
         let solve_us = t_solve.elapsed().as_micros() as u64;
 
         check_deadline(deadline, "scoring")?;
         let t_score = Instant::now();
-        score_report(&inst, &ctx, &mut report);
+        score_report_with(&inst, &ctx, &mut report, |allocation| {
+            let compute = || estimate_welfare(&inst, &ctx, allocation);
+            match &arena {
+                Some(handle) => {
+                    let key = ScoreKey::new(
+                        allocation,
+                        inst.num_items(),
+                        req.config,
+                        &objective,
+                        ctx.sims,
+                        ctx.welfare_seed,
+                    );
+                    handle.score(key, compute)
+                }
+                None => compute(),
+            }
+        });
         Ok(SolveOutcome {
             result_json: report_json(&report),
             rr_topup,
@@ -286,6 +310,80 @@ mod tests {
             report_json(&offline),
             "server must equal offline"
         );
+    }
+
+    /// The offline `warm-grd` solve of a served spec (utility config 1).
+    fn offline_warm_grd(g: &Graph, budgets: [u32; 2], spec: &str, ctx: &SolveCtx) -> String {
+        let inst = WelMax::on(g)
+            .model(TwoItemConfig::new(1).model())
+            .budgets(budgets)
+            .any_item_order()
+            .build()
+            .unwrap();
+        report_json(&<dyn Allocator>::parse(spec).unwrap().solve(&inst, ctx))
+    }
+
+    #[test]
+    fn a_score_memo_hit_equals_the_miss_and_the_offline_solve() {
+        let engine = Engine::new(hub_graph());
+        let m = Arc::clone(engine.metrics());
+        let req = solve_req("warm-grd budgets=3,2 seed=7 sims=40 eps=0.4");
+        let miss = engine.solve(&req, None).unwrap();
+        assert_eq!((m.score_hits.get(), m.score_misses.get()), (0, 1));
+        let hit = engine.solve(&req, None).unwrap();
+        assert_eq!((m.score_hits.get(), m.score_misses.get()), (1, 1));
+        assert_eq!(
+            hit.result_json, miss.result_json,
+            "hit == miss, byte for byte"
+        );
+        let offline = offline_warm_grd(
+            engine.graph(),
+            [3, 2],
+            "warm-grd eps=0.4",
+            &SolveCtx::new(7).with_sims(40),
+        );
+        assert_eq!(hit.result_json, offline, "memo hit == offline solve");
+        // Unscored and cold-solver queries never consult the memo.
+        engine
+            .solve(&solve_req("warm-grd budgets=3,2 seed=7 eps=0.4"), None)
+            .unwrap();
+        engine
+            .solve(&solve_req("degree-top budgets=3,2 sims=20"), None)
+            .unwrap();
+        assert_eq!((m.score_hits.get(), m.score_misses.get()), (1, 1));
+    }
+
+    #[test]
+    fn changing_sims_welfare_seed_or_config_is_a_score_memo_miss() {
+        let engine = Engine::new(hub_graph());
+        let m = Arc::clone(engine.metrics());
+        let base = "warm-grd budgets=3,2 seed=5 eps=0.4";
+        let first = engine
+            .solve(&solve_req(&format!("{base} sims=30")), None)
+            .unwrap();
+        for (i, variant) in ["sims=31", "sims=30 welfare_seed=99", "sims=30 config=3"]
+            .iter()
+            .enumerate()
+        {
+            let out = engine
+                .solve(&solve_req(&format!("{base} {variant}")), None)
+                .unwrap();
+            assert_eq!(m.score_misses.get(), 2 + i as u64, "{variant} must miss");
+            assert_eq!(m.score_hits.get(), 0, "{variant} must not hit");
+            assert_ne!(out.result_json, first.result_json, "{variant}");
+        }
+        // The scoring stream override is honoured on the miss path.
+        let ws = engine
+            .solve(&solve_req(&format!("{base} sims=30 welfare_seed=99")), None)
+            .unwrap();
+        assert_eq!(m.score_hits.get(), 1, "the exact repeat hits");
+        let offline = offline_warm_grd(
+            engine.graph(),
+            [3, 2],
+            "warm-grd eps=0.4",
+            &SolveCtx::new(5).with_sims(30).with_welfare_seed(99),
+        );
+        assert_eq!(ws.result_json, offline);
     }
 
     #[test]

@@ -51,6 +51,12 @@ pub struct ServerMetrics {
     /// Queries that parked behind an identical in-flight plan
     /// computation and reused its result (single-flight coalescing).
     pub coalesced_waits: Counter,
+    /// Scored warm queries answered from their arena's score memo (no
+    /// Monte-Carlo simulation ran).
+    pub score_hits: Counter,
+    /// Scored warm queries whose inputs were not memoized — welfare was
+    /// estimated and the result memoized.
+    pub score_misses: Counter,
     /// Bytes currently resident across all warm arenas (level).
     pub arena_bytes: Gauge,
     /// Warm arenas currently resident (level).
@@ -96,6 +102,8 @@ impl ServerMetrics {
             plan_misses: Counter::new(),
             plan_resumes: Counter::new(),
             coalesced_waits: Counter::new(),
+            score_hits: Counter::new(),
+            score_misses: Counter::new(),
             arena_bytes: Gauge::new(),
             arenas_resident: Gauge::new(),
             solve_latency_us: LatencyRing::new(LATENCY_WINDOW),
@@ -141,6 +149,10 @@ impl ServerMetrics {
         w.u64(self.plan_resumes.get());
         w.key("coalesced_waits");
         w.u64(self.coalesced_waits.get());
+        w.key("score_hits");
+        w.u64(self.score_hits.get());
+        w.key("score_misses");
+        w.u64(self.score_misses.get());
         w.key("arena_bytes");
         w.u64(self.arena_bytes.get());
         w.key("arenas_resident");
@@ -230,6 +242,21 @@ mod tests {
             json.contains(r#""scoring_us":{"count":1,"p50":60"#),
             "{json}"
         );
+    }
+
+    #[test]
+    fn dump_carries_score_memo_counters() {
+        let m = ServerMetrics::new();
+        let json = m.to_json();
+        assert!(
+            json.contains(r#""score_hits":0,"score_misses":0,"#),
+            "{json}"
+        );
+        m.score_hits.add(5);
+        m.score_misses.add(2);
+        let json = m.to_json();
+        assert!(json.contains(r#""score_hits":5,"#), "{json}");
+        assert!(json.contains(r#""score_misses":2,"#), "{json}");
     }
 
     #[test]

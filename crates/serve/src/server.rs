@@ -82,6 +82,9 @@ impl Default for ServerConfig {
 
 struct Queue {
     conns: VecDeque<TcpStream>,
+    /// Workers not handling a connection. Counted from spawn, not from
+    /// a worker's first wait, so a connection that arrives before the
+    /// pool has been scheduled is queued rather than refused.
     idle_workers: usize,
 }
 
@@ -143,7 +146,7 @@ impl Server {
             state: AtomicU8::new(STATE_RUNNING),
             queue: Mutex::new(Queue {
                 conns: VecDeque::new(),
-                idle_workers: 0,
+                idle_workers: cfg.workers.max(1),
             }),
             cv: Condvar::new(),
             default_deadline_ms: cfg.default_deadline_ms,
@@ -302,7 +305,6 @@ fn worker_loop(shared: &Shared) {
     loop {
         let stream = {
             let mut q = shared.queue.lock().expect("admission queue lock");
-            q.idle_workers += 1;
             let stream = loop {
                 if let Some(s) = q.conns.pop_front() {
                     break Some(s);
@@ -324,6 +326,11 @@ fn worker_loop(shared: &Shared) {
             // Draining and nothing queued: this worker is done.
             None => return,
         }
+        shared
+            .queue
+            .lock()
+            .expect("admission queue lock")
+            .idle_workers += 1;
     }
 }
 

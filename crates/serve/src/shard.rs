@@ -44,6 +44,19 @@
 //! the same byte budget and die with their arena — an evicted prefix
 //! can never serve a later query.
 //!
+//! ## Score memo
+//!
+//! Welfare scoring is a pure function of its inputs, so each cell also
+//! memoizes the [`OnlineStats`] of the queries it served, keyed by a
+//! `ScoreKey`: the canonical allocation (item-major seed lists,
+//! compared in full), the utility config, the objective spec, `sims` and
+//! the welfare seed. A repeat scored query then costs what an unscored
+//! one does. The memo is bounded by `SCORE_MEMO_CAP` entries per
+//! arena (least recently used out first), its bytes are charged to the
+//! cell like plan bytes, it dies with the cell on eviction, and it is
+//! never spilled. There is no single-flight: two concurrent misses on
+//! one key compute identical bits and install the same value.
+//!
 //! ## Panic containment
 //!
 //! A panic while holding a write lock poisons that one arena, not the
@@ -57,8 +70,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
-use uic_graph::Graph;
+use uic_diffusion::Allocation;
+use uic_graph::{Graph, NodeId};
 use uic_im::{DiffusionModel, NodeSelectionResult, RrCollection, SelectionPlan, WarmArena};
+use uic_util::OnlineStats;
 
 /// Arena identity: `(model discriminant, solver seed)` — exactly the
 /// inputs that determine the RR sample stream.
@@ -98,8 +113,114 @@ struct PlanCache {
     inflight: HashSet<usize>,
 }
 
+/// Most score-memo entries one arena keeps (a repeat-traffic hot set
+/// is a handful of specs per arena; the cap only bounds adversarial
+/// streams of distinct scored queries).
+pub(crate) const SCORE_MEMO_CAP: usize = 256;
+
+/// The exact inputs of one welfare score on a warm arena's graph.
+/// Compared in full (the allocation included), never by hash alone.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ScoreKey {
+    /// Per-item seed lists, item-major, each sorted by node id.
+    allocation: Vec<Vec<NodeId>>,
+    /// Two-item utility catalog entry (fixes the utility model).
+    config: u8,
+    /// The objective spec in its canonical `key=value` text.
+    objective: String,
+    sims: u32,
+    welfare_seed: u64,
+}
+
+impl ScoreKey {
+    /// The key of scoring `allocation` (over `num_items` items) under
+    /// utility `config` and `objective` with `sims` samples drawn from
+    /// `welfare_seed`.
+    pub(crate) fn new(
+        allocation: &Allocation,
+        num_items: u32,
+        config: u8,
+        objective: &uic_core::ObjectiveSpec,
+        sims: u32,
+        welfare_seed: u64,
+    ) -> ScoreKey {
+        let allocation: Vec<Vec<NodeId>> = (0..num_items)
+            .map(|i| allocation.seeds_of_item(i))
+            .collect();
+        ScoreKey {
+            allocation,
+            config,
+            objective: objective.to_string(),
+            sims,
+            welfare_seed,
+        }
+    }
+
+    /// Bytes one memo entry under this key holds.
+    fn entry_bytes(&self) -> usize {
+        std::mem::size_of::<(ScoreKey, MemoEntry)>()
+            + self.objective.capacity()
+            + self
+                .allocation
+                .iter()
+                .map(|s| std::mem::size_of::<Vec<NodeId>>() + s.capacity() * 4)
+                .sum::<usize>()
+    }
+}
+
+/// A memoized score and its LRU stamp (larger = more recent).
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    stats: OnlineStats,
+    last_used: u64,
+}
+
+/// The per-cell score memo (see the module docs).
+#[derive(Default)]
+struct ScoreMemo {
+    entries: HashMap<ScoreKey, MemoEntry>,
+    clock: u64,
+}
+
+impl ScoreMemo {
+    fn get(&mut self, key: &ScoreKey) -> Option<OnlineStats> {
+        self.clock += 1;
+        let entry = self.entries.get_mut(key)?;
+        entry.last_used = self.clock;
+        Some(entry.stats)
+    }
+
+    /// Installs `stats` under `key`, evicting the least recently used
+    /// entry at the cap; returns the memo's byte delta `(freed, added)`.
+    fn insert(&mut self, key: ScoreKey, stats: OnlineStats) -> (usize, usize) {
+        if self.entries.contains_key(&key) {
+            return (0, 0); // a racing miss installed the same bits
+        }
+        let mut freed = 0;
+        if self.entries.len() >= SCORE_MEMO_CAP {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("a full memo is non-empty");
+            let (evicted, _) = self.entries.remove_entry(&oldest).expect("present");
+            freed = evicted.entry_bytes();
+        }
+        self.clock += 1;
+        let added = key.entry_bytes();
+        let entry = MemoEntry {
+            stats,
+            last_used: self.clock,
+        };
+        self.entries.insert(key, entry);
+        (freed, added)
+    }
+}
+
 /// One resident warm arena: the collection behind its reader/writer
-/// lock, its query-plan cache, and the bookkeeping eviction needs.
+/// lock, its query-plan cache and score memo, and the bookkeeping
+/// eviction needs.
 pub struct ArenaCell {
     key: ArenaKey,
     lock: RwLock<RrCollection>,
@@ -110,12 +231,15 @@ pub struct ArenaCell {
     plan_cv: Condvar,
     /// Heap bytes held by cached plans (a component of `bytes`).
     plan_bytes: AtomicUsize,
+    /// Memoized welfare scores for queries on this arena (die with the
+    /// cell on eviction; never spilled; charged to `bytes`).
+    scores: Mutex<ScoreMemo>,
     /// The maximum top-up target published by queries waiting on the
     /// write lock; the holder extends once to the max (monotone — the
     /// arena never shrinks, so it is never reset).
     pending_target: AtomicUsize,
-    /// Heap bytes of the collection plus cached plans (mirrored into
-    /// the registry-wide gauge).
+    /// Heap bytes of the collection, cached plans and memoized scores
+    /// (mirrored into the registry-wide gauge).
     bytes: AtomicUsize,
     /// LRU stamp from the registry clock; larger = more recent.
     last_used: AtomicU64,
@@ -136,6 +260,11 @@ impl ArenaCell {
     /// of immutable `Arc`s, so a panic mid-update leaves it consistent.
     fn plan_cache(&self) -> MutexGuard<'_, PlanCache> {
         self.plans.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The score-memo mutex, healing poison (entries are plain values).
+    fn score_memo(&self) -> MutexGuard<'_, ScoreMemo> {
+        self.scores.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -263,6 +392,7 @@ impl ArenaRegistry {
             plans: Mutex::new(PlanCache::default()),
             plan_cv: Condvar::new(),
             plan_bytes: AtomicUsize::new(0),
+            scores: Mutex::new(ScoreMemo::default()),
             pending_target: AtomicUsize::new(0),
             bytes: AtomicUsize::new(bytes),
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed) + 1),
@@ -310,6 +440,22 @@ impl ArenaRegistry {
                 .fetch_sub(old_bytes - new_bytes, Ordering::Relaxed);
         }
         self.note_resize(cell, old_bytes, new_bytes);
+        self.enforce_budget(cell.key);
+    }
+
+    /// Memoizes `stats` under `key` in `cell` and charges its bytes —
+    /// only while the cell is resident: the check and the charge happen
+    /// under the cell's shard lock, which eviction also holds, so a
+    /// detached cell never adds to the gauge (its memo dies with it).
+    fn install_score(&self, cell: &Arc<ArenaCell>, key: ScoreKey, stats: OnlineStats) {
+        {
+            let shard = self.shard_of(cell.key).lock().expect("arena shard lock");
+            if !shard.get(&cell.key).is_some_and(|r| Arc::ptr_eq(r, cell)) {
+                return;
+            }
+            let (freed, added) = cell.score_memo().insert(key, stats);
+            self.note_resize(cell, freed, added);
+        }
         self.enforce_budget(cell.key);
     }
 
@@ -415,6 +561,26 @@ impl ArenaHandle<'_> {
     /// Sets currently resident in the arena this handle rides.
     pub fn resident_sets(&self) -> u64 {
         self.read(|coll| coll.len() as u64)
+    }
+
+    /// The welfare score for `key`: from the arena's score memo on a hit
+    /// ([`ServerMetrics::score_hits`]), else `compute()`d and memoized
+    /// ([`ServerMetrics::score_misses`]). `compute` must be the pure
+    /// function of `key` the memo stands in for.
+    pub(crate) fn score(
+        &self,
+        key: ScoreKey,
+        compute: impl FnOnce() -> OnlineStats,
+    ) -> OnlineStats {
+        let m = &self.registry.metrics;
+        if let Some(stats) = self.cell.score_memo().get(&key) {
+            m.score_hits.inc();
+            return stats;
+        }
+        m.score_misses.inc();
+        let stats = compute();
+        self.registry.install_score(&self.cell, key, stats);
+        stats
     }
 
     /// The single-flight leader's plan computation: resume the cached
@@ -883,6 +1049,114 @@ mod tests {
         // A warm repeat touches only the read lock and adds no top-up.
         h.prepare(&g, 384).unwrap();
         assert_eq!(h.topup(), 0);
+    }
+
+    fn score_key(seeds: &[u32], sims: u32) -> ScoreKey {
+        let alloc = Allocation::from_item_seeds(&[seeds.to_vec(), vec![]]);
+        let objective = uic_core::ObjectiveSpec::default();
+        ScoreKey::new(&alloc, 2, 1, &objective, sims, 42)
+    }
+
+    fn memo_bytes(cell: &ArenaCell) -> usize {
+        cell.score_memo()
+            .entries
+            .keys()
+            .map(ScoreKey::entry_bytes)
+            .sum()
+    }
+
+    fn stats(x: f64) -> OnlineStats {
+        let mut s = OnlineStats::new();
+        s.push(x);
+        s
+    }
+
+    #[test]
+    fn score_memo_bytes_count_against_the_arena_and_die_with_the_cell() {
+        let g = star_graph();
+        let (reg, m) = registry(Some(1));
+        let a = reg.checkout(&g, DiffusionModel::IC, 1);
+        a.prepare(&g, 64).unwrap();
+        let before = m.arena_bytes.get();
+        assert_eq!(a.score(score_key(&[0, 3], 8), || stats(1.5)), stats(1.5));
+        let memo = memo_bytes(&a.cell);
+        assert!(memo > 0, "memoized scores are byte-accounted");
+        assert_eq!(m.arena_bytes.get(), before + memo as u64);
+        assert_eq!(
+            m.arena_bytes.get(),
+            a.cell.bytes.load(Ordering::Relaxed) as u64
+        );
+        // A hit returns the memoized bits without calling `compute`.
+        let hit = a.score(score_key(&[0, 3], 8), || unreachable!("memo hit"));
+        assert_eq!(hit, stats(1.5));
+        assert_eq!((m.score_hits.get(), m.score_misses.get()), (1, 1));
+        // A second arena's top-up evicts the first, memo and all.
+        let b = reg.checkout(&g, DiffusionModel::IC, 2);
+        b.prepare(&g, 64).unwrap();
+        assert_eq!(m.evictions_total.get(), 1);
+        assert_eq!(
+            m.arena_bytes.get(),
+            b.cell.bytes.load(Ordering::Relaxed) as u64
+        );
+        // A score computed on the detached cell is not memoized or charged.
+        let level = m.arena_bytes.get();
+        a.score(score_key(&[1], 8), || stats(2.0));
+        assert_eq!(
+            m.arena_bytes.get(),
+            level,
+            "a detached cell charges nothing"
+        );
+        // The rebuilt arena starts with a cold memo.
+        let a2 = reg.checkout(&g, DiffusionModel::IC, 1);
+        assert_eq!(a2.score(score_key(&[0, 3], 8), || stats(1.5)), stats(1.5));
+        assert_eq!(m.score_hits.get(), 1, "no score survived eviction");
+    }
+
+    #[test]
+    fn score_memo_is_capped_and_evicts_least_recently_used() {
+        let g = star_graph();
+        let (reg, m) = registry(None);
+        let h = reg.checkout(&g, DiffusionModel::IC, 3);
+        for sims in 0..SCORE_MEMO_CAP as u32 {
+            h.score(score_key(&[1, 2], sims + 1), || stats(sims as f64));
+        }
+        let full = memo_bytes(&h.cell);
+        // Touch the oldest key, then overflow: the second-oldest goes.
+        h.score(score_key(&[1, 2], 1), || unreachable!("memo hit"));
+        h.score(score_key(&[1, 2], 10_000), || stats(-1.0));
+        assert_eq!(h.cell.score_memo().entries.len(), SCORE_MEMO_CAP);
+        assert_eq!(memo_bytes(&h.cell), full);
+        assert_eq!(
+            m.arena_bytes.get(),
+            h.cell.bytes.load(Ordering::Relaxed) as u64
+        );
+        let misses = m.score_misses.get();
+        h.score(score_key(&[1, 2], 1), || {
+            unreachable!("recently used, kept")
+        });
+        h.score(score_key(&[1, 2], 2), || stats(1.0));
+        assert_eq!(
+            m.score_misses.get(),
+            misses + 1,
+            "the LRU entry was evicted"
+        );
+    }
+
+    #[test]
+    fn score_keys_compare_the_full_allocation() {
+        let objective = uic_core::ObjectiveSpec::default();
+        let key = |seeds: &[Vec<u32>]| {
+            ScoreKey::new(&Allocation::from_item_seeds(seeds), 2, 1, &objective, 8, 42)
+        };
+        assert_eq!(key(&[vec![3, 1], vec![2]]), key(&[vec![1, 3], vec![2]]));
+        assert_ne!(key(&[vec![1, 3], vec![2]]), key(&[vec![1, 2], vec![3]]));
+        assert_ne!(key(&[vec![1], vec![2]]), key(&[vec![1, 2], vec![]]));
+        let ces = uic_core::ObjectiveSpec::Ces { alpha: 0.5 };
+        let alloc = Allocation::from_item_seeds(&[vec![1], vec![2]]);
+        assert_ne!(
+            ScoreKey::new(&alloc, 2, 1, &ces, 8, 42),
+            ScoreKey::new(&alloc, 2, 1, &objective, 8, 42)
+        );
     }
 
     #[test]
