@@ -7,9 +7,9 @@
 //! full generation recipe `(generator spec, scale, seed, weighting)` and
 //! stores it in the versioned binary snapshot format of
 //! [`uic_graph::snapshot`]; any load failure (missing file, corrupt
-//! bytes, older format version) silently falls back to regeneration and
-//! rewrites the entry, so the cache can never change results — only skip
-//! work. Writes go through a temp file plus atomic rename, so concurrent
+//! bytes, a format version other than the current one) silently falls
+//! back to regeneration and rewrites the entry, so the cache can never
+//! change results — only skip work. Writes go through a temp file plus atomic rename, so concurrent
 //! processes racing on the same key at worst both build.
 //!
 //! The cache is **opt-in**: [`SnapshotCache::from_env`] activates it when
@@ -19,7 +19,7 @@
 
 use crate::networks::NamedNetwork;
 use std::path::{Path, PathBuf};
-use uic_graph::{load_snapshot, snapshot_version, write_snapshot, Graph};
+use uic_graph::{load_snapshot, write_snapshot, Graph};
 
 /// Environment variable that opts experiment runs into the cache; its
 /// value is the cache directory.
@@ -88,18 +88,9 @@ impl CacheKey {
             .collect();
         format!(
             "{prefix}-{:016x}.uicg",
-            fnv1a64(self.canonical().as_bytes())
+            uic_util::fnv1a64(self.canonical().as_bytes())
         )
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A directory of graph snapshots keyed by [`CacheKey`].
@@ -143,30 +134,20 @@ impl SnapshotCache {
         self.dir.join(key.file_name())
     }
 
-    /// Loads the entry for `key`, or `None` when absent or unreadable
-    /// (corrupt / truncated / foreign-version snapshots are treated as
-    /// misses, never errors).
-    ///
-    /// Entries still in the legacy v1 layout load through the streaming
-    /// fallback and are transparently rewritten in the current aligned
-    /// format, so every later load of the same entry takes the
-    /// zero-copy path. A failed rewrite is non-fatal: the loaded graph
-    /// is returned either way and the old entry keeps working.
+    /// Loads the entry for `key` on the zero-copy path, or `None` when
+    /// absent or unreadable. Corrupt, truncated and foreign-version
+    /// snapshots are all misses, never errors: the entry is a cache, and
+    /// [`SnapshotCache::get_or_build`] rebuilds and overwrites it.
     pub fn load(&self, key: &CacheKey) -> Option<Graph> {
-        let path = self.path_for(key);
-        let g = load_snapshot(&path).ok()?;
-        if snapshot_version(&path).ok() == Some(uic_graph::snapshot::LEGACY_FORMAT_VERSION) {
-            self.store(key, &g).ok();
-        }
-        Some(g)
+        load_snapshot(self.path_for(key)).ok()
     }
 
     /// Stores `g` under `key` via temp-file + atomic rename.
     ///
     /// The temp name carries the pid *and* a process-global counter:
     /// two threads of one process storing the same key concurrently
-    /// (e.g. racing [`SnapshotCache::load`]'s transparent v1→v2
-    /// rewrite) each write their own file, so neither can rename a
+    /// (e.g. racing [`SnapshotCache::get_or_build`] calls that all
+    /// missed) each write their own file, so neither can rename a
     /// half-written snapshot into place.
     pub fn store(&self, key: &CacheKey, g: &Graph) -> std::io::Result<()> {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -281,6 +262,15 @@ mod tests {
     }
 
     #[test]
+    fn cache_file_names_are_pinned() {
+        // Golden name: entries already on disk must keep their names.
+        assert_eq!(
+            CacheKey::new("named/Orkut(scaled)", 1.0, 42, "as-given").file_name(),
+            "named_Orkut_scaled_-bd3c0e1abbbf25e7.uicg"
+        );
+    }
+
+    #[test]
     fn corrupt_entries_fall_back_to_rebuild() {
         let cache = scratch_cache("corrupt");
         let key = CacheKey::new("t/corrupt", 1.0, 3, "as-given");
@@ -298,41 +288,55 @@ mod tests {
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
+    /// Plants `g` at `path` as an older or newer build would have left
+    /// it: current-format bytes whose version field says 1. The checksum
+    /// starts after the version field, so only the version is foreign.
+    fn plant_foreign_version(path: &std::path::Path, g: &Graph) {
+        let mut bytes = Vec::new();
+        write_snapshot(g, &mut bytes).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
     #[test]
-    fn legacy_entries_are_upgraded_in_place_on_load() {
-        let cache = scratch_cache("upgrade");
-        let key = CacheKey::new("t/upgrade", 1.0, 3, "as-given");
+    fn foreign_version_entries_are_misses_and_get_rebuilt() {
+        let cache = scratch_cache("foreign");
+        let key = CacheKey::new("t/foreign", 1.0, 3, "as-given");
         let g = uic_graph::Graph::from_edges(4, &[(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75)]);
-        // Plant a v1-format entry, as a cache populated by an older
-        // build would hold.
         let path = cache.path_for(&key);
-        let file = std::fs::File::create(&path).unwrap();
-        uic_graph::write_snapshot_v1(&g, file).unwrap();
+        plant_foreign_version(&path, &g);
+        assert!(cache.load(&key).is_none(), "foreign version must be a miss");
+        // get_or_build rebuilds and overwrites the entry in the current
+        // format, which then loads zero-copy without the builder.
+        let mut builds = 0;
+        let rebuilt = cache.get_or_build(&key, || {
+            builds += 1;
+            g.clone()
+        });
+        assert_eq!((rebuilt, builds), (g.clone(), 1));
+        let bytes = std::fs::read(&path).unwrap();
         assert_eq!(
-            uic_graph::snapshot_version(&path).unwrap(),
-            uic_graph::snapshot::LEGACY_FORMAT_VERSION
+            &bytes[8..12],
+            &uic_graph::snapshot::FORMAT_VERSION.to_le_bytes()
         );
-        // Loading serves the graph AND rewrites the entry aligned.
-        assert_eq!(cache.load(&key).as_ref(), Some(&g));
-        assert_eq!(
-            uic_graph::snapshot_version(&path).unwrap(),
-            uic_graph::snapshot::FORMAT_VERSION,
-            "entry must be rewritten in the current format"
-        );
-        assert_eq!(cache.load(&key).as_ref(), Some(&g), "upgraded entry loads");
+        let loaded = cache.load(&key).expect("rebuilt entry loads");
+        assert_eq!(loaded, g);
+        #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
+        assert!(loaded.is_zero_copy());
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 
     #[test]
-    fn concurrent_loads_of_a_legacy_entry_upgrade_without_corruption() {
+    fn concurrent_rebuilds_of_a_foreign_entry_never_corrupt_it() {
         // Regression: the temp-file name used to be keyed by pid alone,
-        // so two threads of one process racing the transparent v1→v2
-        // rewrite wrote THE SAME temp file and could rename a
-        // half-written snapshot into place. Hammer the upgrade from
-        // many threads and re-plant the v1 entry between rounds; every
-        // load must serve the exact graph and leave a loadable entry.
-        let cache = scratch_cache("upgrade-race");
-        let key = CacheKey::new("t/upgrade-race", 1.0, 3, "as-given");
+        // so two threads of one process storing the same key wrote THE
+        // SAME temp file and could rename a half-written snapshot into
+        // place. Every thread here misses on the foreign entry at about
+        // the same time and races the rebuild's store; re-plant between
+        // rounds. Every call must serve the exact graph and leave a
+        // loadable entry.
+        let cache = scratch_cache("rebuild-race");
+        let key = CacheKey::new("t/rebuild-race", 1.0, 3, "as-given");
         let g = uic_graph::Graph::from_edges(
             6,
             &[
@@ -343,25 +347,16 @@ mod tests {
                 (4, 5, 0.5),
             ],
         );
-        let plant_v1 = |path: &std::path::Path| {
-            let file = std::fs::File::create(path).unwrap();
-            uic_graph::write_snapshot_v1(&g, file).unwrap();
-        };
         for round in 0..8 {
-            plant_v1(&cache.path_for(&key));
+            plant_foreign_version(&cache.path_for(&key), &g);
             std::thread::scope(|s| {
                 for _ in 0..4 {
                     s.spawn(|| {
-                        let loaded = cache.load(&key);
-                        assert_eq!(loaded.as_ref(), Some(&g), "round {round}");
+                        let got = cache.get_or_build(&key, || g.clone());
+                        assert_eq!(got, g, "round {round}");
                     });
                 }
             });
-            assert_eq!(
-                uic_graph::snapshot_version(cache.path_for(&key)).unwrap(),
-                uic_graph::snapshot::FORMAT_VERSION,
-                "round {round}: entry must end upgraded"
-            );
             assert_eq!(cache.load(&key).as_ref(), Some(&g), "round {round}");
         }
         // Abandoned temp files (if any) still match clear()'s pattern.
@@ -372,12 +367,11 @@ mod tests {
 
     #[test]
     fn readers_racing_the_rewrite_always_see_a_whole_snapshot() {
-        // Regression companion to the upgrade-race test above: here the
+        // Regression companion to the rebuild-race test above: here the
         // readers never write — they hammer `load` while one writer
-        // thread keeps flipping the entry between the legacy v1 layout
-        // and the aligned rewrite. Atomic rename means a reader either
-        // opens the old file or the new one, so every load must be a
-        // hit serving the exact graph — a miss or a different graph
+        // thread keeps replacing the entry. Atomic rename means a reader
+        // either opens the old file or the new one, so every load must
+        // be a hit serving the exact graph — a miss or a different graph
         // would mean a reader observed a half-replaced entry.
         let cache = scratch_cache("reader-race");
         let key = CacheKey::new("t/reader-race", 1.0, 3, "as-given");
@@ -385,23 +379,13 @@ mod tests {
             5,
             &[(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75), (3, 4, 0.5)],
         );
-        // Plant the legacy layout the way an older build would have
-        // written it: temp file + atomic rename, never in place.
-        let plant_v1 = || {
-            let tmp = cache.dir().join(".reader-race.v1.tmp");
-            let file = std::fs::File::create(&tmp).unwrap();
-            uic_graph::write_snapshot_v1(&g, file).unwrap();
-            std::fs::rename(&tmp, cache.path_for(&key)).unwrap();
-        };
-        plant_v1();
+        cache.store(&key, &g).unwrap();
         std::thread::scope(|s| {
             let writer = s.spawn(|| {
-                for _ in 0..20 {
+                for _ in 0..40 {
                     cache.store(&key, &g).unwrap();
-                    plant_v1();
                     std::thread::yield_now();
                 }
-                cache.store(&key, &g).unwrap();
             });
             for _ in 0..3 {
                 s.spawn(|| {
@@ -413,10 +397,6 @@ mod tests {
             }
             writer.join().unwrap();
         });
-        assert_eq!(
-            uic_graph::snapshot_version(cache.path_for(&key)).unwrap(),
-            uic_graph::snapshot::FORMAT_VERSION
-        );
         std::fs::remove_dir_all(cache.dir()).ok();
     }
 

@@ -52,7 +52,7 @@ pub use graph::{
 };
 pub use snapshot::{
     load_snapshot, load_snapshot_owned, read_snapshot, read_snapshot_bytes, save_snapshot,
-    snapshot_version, write_snapshot, write_snapshot_v1, SnapshotError,
+    write_snapshot, SnapshotError,
 };
 pub use stats::GraphStats;
 pub use storage::{SectionElem, SectionStorage};

@@ -53,15 +53,10 @@ pub mod tim;
 
 pub use greedy::{greedy_celf, greedy_mc_spread};
 pub use imm::{imm, ImmResult};
-pub use node_selection::{
-    node_selection, node_selection_for, node_selection_prefix, node_selection_prefix_indexed,
-    NodeSelectionResult,
-};
+pub use node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 pub use opim::{opim_c, OpimResult};
 pub use plan::SelectionPlan;
-pub use prima::{
-    prima, prima_for, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena,
-};
+pub use prima::{prima, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena};
 pub use rrset::{DiffusionModel, RrCollection, RrSampler, StandardRrSampler};
 pub use skim::{skim, SkimOptions, SkimResult};
 pub use ssa::{ssa, SsaResult};

@@ -17,7 +17,6 @@
 use crate::imm::Bounds;
 use crate::node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 use crate::rrset::{DiffusionModel, RrCollection};
-use uic_diffusion::{ObjectiveError, WelfareObjective};
 use uic_graph::{Graph, NodeId};
 
 /// Result of a PRIMA run.
@@ -370,31 +369,6 @@ pub fn warm_prima_on<A: WarmArena>(
     })
 }
 
-/// Objective-aware [`prima`].
-///
-/// PRIMA's guarantee (Definition 1) rests on RR-set coverage being an
-/// unbiased estimator of the objective, which requires a
-/// sum-decomposable ([`WelfareObjective::is_additive`]) objective. For
-/// those this is exactly [`prima`]; for any other objective it refuses
-/// with [`ObjectiveError::NonAdditive`].
-pub fn prima_for(
-    g: &Graph,
-    budgets: &[u32],
-    eps: f64,
-    ell: f64,
-    model: DiffusionModel,
-    seed: u64,
-    objective: &dyn WelfareObjective,
-) -> Result<PrimaResult, ObjectiveError> {
-    if !objective.is_additive() {
-        return Err(ObjectiveError::NonAdditive {
-            objective: objective.key().to_string(),
-            algorithm: "PRIMA".to_string(),
-        });
-    }
-    Ok(prima(g, budgets, eps, ell, model, seed))
-}
-
 /// `F_R(S)` for an arbitrary seed set over a collection.
 fn fraction_covered(coll: &mut RrCollection, seeds: &[NodeId]) -> f64 {
     if coll.is_empty() {
@@ -530,19 +504,6 @@ mod tests {
             many.rr_sets_final >= single.rr_sets_final,
             "ℓ′ union bound must not shrink the sample size"
         );
-    }
-
-    #[test]
-    fn objective_gate_matches_plain_prima_for_utilitarian() {
-        use uic_diffusion::{Ces, Utilitarian};
-        let g = hub_graph();
-        let gated = prima_for(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7, &Utilitarian).unwrap();
-        let plain = prima(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7);
-        assert_eq!(gated.order, plain.order);
-        assert_eq!(gated.rr_sets_final, plain.rr_sets_final);
-        let ces = Ces::new(0.5).unwrap();
-        let err = prima_for(&g, &[4, 2], 0.4, 1.0, DiffusionModel::IC, 7, &ces).unwrap_err();
-        assert!(matches!(err, ObjectiveError::NonAdditive { .. }));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! One little-endian binary file:
 //!
 //! ```text
-//! magic           8 bytes  "UICWSPL1"
+//! magic           8 bytes  "UICWSPL2"
 //! num_nodes       u32      (must match the resident graph)
 //! arena_count     u32
 //! per arena:
@@ -19,7 +19,8 @@
 //!   total_width   u64
 //!   offsets       (num_sets + 1) × u64
 //!   data          data_len × u32
-//! checksum        u64      FNV-1a over every preceding byte
+//! checksum        u64      uic_util::Checksum of every preceding byte,
+//!                          folded as one run
 //! ```
 //!
 //! ## Durability and integrity
@@ -44,9 +45,10 @@ use crate::shard::{model_key, model_of_key};
 use std::io::{self, Write};
 use std::path::Path;
 use uic_im::RrCollection;
+use uic_util::Checksum;
 
 /// The format magic (versioned: bump the trailing digit on change).
-pub const SPILL_MAGIC: &[u8; 8] = b"UICWSPL1";
+pub const SPILL_MAGIC: &[u8; 8] = b"UICWSPL2";
 
 /// What a completed spill wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,15 +59,6 @@ pub struct SpillStats {
     pub sets: u64,
     /// File size in bytes.
     pub bytes: usize,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Serializes every resident warm arena and lands it at `path` via
@@ -104,7 +97,7 @@ pub fn save(engine: &Engine, path: &Path) -> io::Result<SpillStats> {
         }
     }
     body[count_at..count_at + 4].copy_from_slice(&arenas.to_le_bytes());
-    let checksum = fnv1a(&body);
+    let checksum = Checksum::of(&body);
     body.extend_from_slice(&checksum.to_le_bytes());
 
     let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
@@ -173,18 +166,23 @@ pub fn load(engine: &Engine, path: &Path) -> Result<u64, String> {
     if raw.len() < SPILL_MAGIC.len() + 4 + 4 + 8 {
         return Err(format!("spill {path:?} too short ({} bytes)", raw.len()));
     }
+    // Magic first: a spill from another format version is refused as
+    // such, not misreported as a torn write.
+    if &raw[..SPILL_MAGIC.len()] != SPILL_MAGIC {
+        return Err(format!("spill {path:?} has a foreign magic/version"));
+    }
     let (body, tail) = raw.split_at(raw.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    let computed = fnv1a(body);
+    let computed = Checksum::of(body);
     if stored != computed {
         return Err(format!(
             "spill {path:?} checksum mismatch (stored {stored:#x}, computed {computed:#x}): torn or corrupt write"
         ));
     }
-    let mut c = Cursor { buf: body, at: 0 };
-    if c.take(SPILL_MAGIC.len())? != SPILL_MAGIC {
-        return Err(format!("spill {path:?} has a foreign magic/version"));
-    }
+    let mut c = Cursor {
+        buf: body,
+        at: SPILL_MAGIC.len(),
+    };
     let num_nodes = c.u32()?;
     if num_nodes != engine.graph().num_nodes() {
         return Err(format!(
@@ -354,6 +352,16 @@ mod tests {
         std::fs::write(&path, &evil).unwrap();
         let err = load(&Engine::new(hub_graph()), &path).unwrap_err();
         assert!(err.contains("checksum mismatch"), "{err}");
+
+        // A spill in the previous format (magic `UICWSPL1`, trailing
+        // FNV-1a) is refused as foreign, whatever its body holds.
+        let mut previous = good[..good.len() - 8].to_vec();
+        previous[..8].copy_from_slice(b"UICWSPL1");
+        let fnv = uic_util::fnv1a64(&previous);
+        previous.extend_from_slice(&fnv.to_le_bytes());
+        std::fs::write(&path, &previous).unwrap();
+        let err = load(&Engine::new(hub_graph()), &path).unwrap_err();
+        assert!(err.contains("foreign magic"), "{err}");
 
         // A valid file for a different graph is refused.
         std::fs::write(&path, &good).unwrap();

@@ -171,16 +171,6 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn name_hash(name: &str) -> u64 {
-    // FNV-1a, good enough to separate failpoint streams by name.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Sets the seed that drives probabilistic (`%p`) rules. Call before
 /// the failpoints under test first fire; existing hit counters keep
 /// counting.
@@ -248,7 +238,9 @@ pub fn eval(name: &str) -> bool {
         let hit = rule.hits.fetch_add(1, Ordering::Relaxed);
         // Probability coin: deterministic in (seed, name, hit index).
         if rule.prob_bits != u64::MAX {
-            let coin = mix(reg.seed ^ name_hash(name) ^ hit.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let coin = mix(reg.seed
+                ^ crate::fnv1a64(name.as_bytes())
+                ^ hit.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             if coin > rule.prob_bits {
                 return false;
             }

@@ -27,6 +27,10 @@
 //!   Monte-Carlo estimators.
 //! * [`table`] — a tiny aligned-table / CSV renderer used by the experiment
 //!   harness to print the paper's tables and figure series.
+//! * [`checksum`] — the workspace's one integrity checksum
+//!   ([`Checksum`], a 4-lane multiply-xor word fold guarding graph
+//!   snapshots and warm-arena spill files) and its one FNV-1a
+//!   ([`fnv1a64`], for cache-key file names and failpoint stream seeds).
 //! * [`json`] — a deterministic, serde-free compact JSON writer
 //!   ([`JsonWriter`]) used by the `uic-serve` response path.
 //! * [`metrics`] — lock-free service instrumentation: monotone
@@ -38,6 +42,7 @@
 //!   feature is enabled.
 
 pub mod bitset;
+pub mod checksum;
 pub mod epoch;
 pub mod failpoint;
 pub mod fxhash;
@@ -50,6 +55,7 @@ pub mod stats;
 pub mod table;
 
 pub use bitset::{BitSet, VisitTags};
+pub use checksum::{fnv1a64, Checksum};
 pub use epoch::{EdgeStatusCache, EpochMap};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::JsonWriter;
