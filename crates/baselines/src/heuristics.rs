@@ -23,7 +23,8 @@ pub fn degree_top(g: &Graph, budgets: &[u32]) -> SolveReport {
     let start = Instant::now();
     let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
     order.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
-    SolveReport::new("degree-top", prefix_allocation(&order, budgets)).with_elapsed_since(start)
+    SolveReport::new("degree-top", Allocation::from_prefixes(&order, budgets))
+        .with_elapsed_since(start)
 }
 
 /// Ranks nodes by PageRank **on the transposed graph** (influence flows
@@ -46,7 +47,8 @@ pub fn pagerank_top(g: &Graph, budgets: &[u32], damping: f64, iterations: u32) -
             .expect("PageRank scores are finite")
             .then(a.cmp(&b))
     });
-    SolveReport::new("pagerank-top", prefix_allocation(&order, budgets)).with_elapsed_since(start)
+    SolveReport::new("pagerank-top", Allocation::from_prefixes(&order, budgets))
+        .with_elapsed_since(start)
 }
 
 /// Standard PageRank by power iteration with uniform teleportation;
@@ -96,18 +98,6 @@ pub fn pagerank(g: &Graph, damping: f64, iterations: u32) -> Vec<f64> {
         std::mem::swap(&mut rank, &mut next);
     }
     rank
-}
-
-/// bundleGRD-shaped allocation: item `i` gets the first `b_i` nodes of a
-/// shared ranking.
-fn prefix_allocation(order: &[NodeId], budgets: &[u32]) -> Allocation {
-    let mut allocation = Allocation::new();
-    for (item, &b) in budgets.iter().enumerate() {
-        for &v in &order[..(b as usize).min(order.len())] {
-            allocation.assign(v, item as u32);
-        }
-    }
-    allocation
 }
 
 #[cfg(test)]

@@ -2,14 +2,14 @@
 //! the real Param — large skew forces the biggest PRIMA budget and is
 //! the slowest, matching the paper.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
+// These benches time the raw engine functions below the registry facade:
+// bundleGRD is `prima` plus the prefix assignment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use uic_bench::bench_opts;
-use uic_core::bundle_grd;
 use uic_datasets::{budget_splits, named_network, NamedNetwork};
-use uic_im::DiffusionModel;
+use uic_diffusion::Allocation;
+use uic_im::{prima, DiffusionModel};
 
 fn bench(c: &mut Criterion) {
     let opts = bench_opts();
@@ -25,7 +25,10 @@ fn bench(c: &mut Criterion) {
     for (name, budgets) in distros {
         let budgets: Vec<u32> = budgets.into_iter().map(|b| b.min(n)).collect();
         group.bench_function(name, |b| {
-            b.iter(|| bundle_grd(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42))
+            b.iter(|| {
+                let r = prima(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42);
+                Allocation::from_prefixes(&r.order, &budgets)
+            })
         });
     }
     group.finish();

@@ -1,17 +1,16 @@
 //! Fig. 9(a–c) bench: the BDHS externality benchmarks vs a propagated
 //! bundleGRD welfare evaluation.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
+// These benches time the raw engine functions below the registry facade:
+// bundleGRD is `prima` plus the prefix assignment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use uic_baselines::{bdhs_concave_welfare, bdhs_step_welfare_exact};
 use uic_bench::bench_opts;
-use uic_core::bundle_grd;
 use uic_datasets::{named_network, real_param_model, NamedNetwork};
-use uic_diffusion::WelfareEstimator;
+use uic_diffusion::{Allocation, WelfareEstimator};
 use uic_graph::Weighting;
-use uic_im::DiffusionModel;
+use uic_im::{prima, DiffusionModel};
 
 fn bench(c: &mut Criterion) {
     let opts = bench_opts();
@@ -30,8 +29,9 @@ fn bench(c: &mut Criterion) {
     let budgets = vec![(n / 10).max(1); 5];
     group.bench_function("bundlegrd_10pct+score", |b| {
         b.iter(|| {
-            let r = bundle_grd(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42);
-            WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&r.allocation)
+            let r = prima(&g, &budgets, opts.eps, opts.ell, DiffusionModel::IC, 42);
+            let allocation = Allocation::from_prefixes(&r.order, &budgets);
+            WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&allocation)
         })
     });
     group.finish();

@@ -1,13 +1,13 @@
 //! Table 6 bench: RR-set accounting — PRIMA (inside bundleGRD) vs the
 //! two IMM variants under the real-Param budget distributions.
 
-// These benches time the raw engine functions below the registry facade.
-#![allow(deprecated)]
+// These benches time the raw engine functions below the registry facade:
+// bundleGRD is `prima` plus the prefix assignment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use uic_core::bundle_grd;
 use uic_datasets::{budget_splits, named_network, NamedNetwork};
-use uic_im::{imm, DiffusionModel};
+use uic_diffusion::Allocation;
+use uic_im::{imm, prima, DiffusionModel};
 
 fn bench(c: &mut Criterion) {
     let g = named_network(NamedNetwork::Twitter, 0.004, 7);
@@ -20,7 +20,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("table6_rrsets");
     group.sample_size(10);
     group.bench_function("bundleGRD(PRIMA)", |b| {
-        b.iter(|| bundle_grd(&g, &budgets, 0.5, 1.0, DiffusionModel::IC, 42))
+        b.iter(|| {
+            let r = prima(&g, &budgets, 0.5, 1.0, DiffusionModel::IC, 42);
+            Allocation::from_prefixes(&r.order, &budgets)
+        })
     });
     group.bench_function("IMM_MAX", |b| {
         b.iter(|| imm(&g, max_b, 0.5, 1.0, DiffusionModel::IC, 42))

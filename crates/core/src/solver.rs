@@ -19,9 +19,11 @@
 //!
 //! Every algorithm — bundleGRD, the eight baselines, and the warm-arena
 //! `warm-grd` serving engine — is a registry entry; adding a workload
-//! means adding an entry, not a new `match` arm.
-//! The deprecated free functions (`bundle_grd`, `uic_baselines::*`)
-//! remain as the engines these impls wrap.
+//! means adding an entry, not a new `match` arm. bundle-grd and warm-grd
+//! are implemented here on top of `uic_im`'s one certification loop
+//! (cold [`uic_im::prima()`] vs warm [`uic_im::warm_prima_on`]) and
+//! [`Allocation::from_prefixes`]; the baselines wrap the deprecated
+//! `uic_baselines::*` free functions, which remain their engines.
 //!
 //! Instances carry a pluggable welfare objective (utilitarian unless
 //! [`crate::WelMax::objective`] says otherwise): [`Allocator::solve`]
@@ -34,7 +36,7 @@
 //! `"mc-greedy objective=ces alpha=0.5"` via
 //! [`<dyn Allocator>::parse_with_objective`](trait.Allocator.html#method.parse_with_objective).
 
-#![allow(deprecated)] // the registry is the supported facade over the deprecated free-function engines
+#![allow(deprecated)] // the registry is the supported facade over the deprecated baseline engines
 
 use crate::objective::ObjectiveSpec;
 use crate::problem::WelMaxInstance;
@@ -282,11 +284,20 @@ fn spec_ell(params: &SpecMap, default: f64) -> Result<f64, SpecError> {
     })
 }
 
-/// Gate shared by the RIS/guarantee solvers: their submodularity
-/// arguments decompose welfare as a sum over nodes, so any objective
-/// that is not additive voids the machinery — refuse rather than return
-/// an allocation the guarantee does not cover.
-fn requires_additive(name: &'static str, inst: &WelMaxInstance) -> Result<(), Unsupported> {
+/// Gate shared by the RIS/guarantee solvers. Their sample-size bounds
+/// divide by `ln n`, so they need at least two nodes. Their
+/// submodularity arguments decompose welfare as a sum over nodes, so
+/// any objective that is not additive voids the machinery. Either way,
+/// refuse rather than panic or return an allocation the guarantee does
+/// not cover.
+fn ris_supports(name: &'static str, inst: &WelMaxInstance) -> Result<(), Unsupported> {
+    let n = inst.graph().num_nodes();
+    if n < 2 {
+        return Err(Unsupported {
+            algorithm: name,
+            reason: format!("RIS sample-size bounds need at least two nodes, got {n}"),
+        });
+    }
     let objective = inst.objective();
     if objective.is_additive() {
         Ok(())
@@ -302,12 +313,60 @@ fn requires_additive(name: &'static str, inst: &WelMaxInstance) -> Result<(), Un
     }
 }
 
+/// The budget vector PRIMA takes: a non-increasing copy of the
+/// instance's (item order is free under `any_item_order`).
+fn prima_budgets(inst: &WelMaxInstance) -> Vec<u32> {
+    let mut sorted = inst.budgets().to_vec();
+    sorted.sort_unstable_by(|a, b| b.cmp(a));
+    sorted
+}
+
+/// bundleGRD's report from its PRIMA ordering: item `i` takes the
+/// top-`b_i` prefix; `start` is when the solve began.
+fn prefix_report(
+    name: &'static str,
+    inst: &WelMaxInstance,
+    ctx: &SolveCtx,
+    start: Instant,
+    r: uic_im::PrimaResult,
+) -> SolveReport {
+    SolveReport {
+        algorithm: name,
+        allocation: Allocation::from_prefixes(&r.order, inst.budgets()),
+        welfare: None,
+        elapsed: start.elapsed(),
+        seed: ctx.seed,
+        budgets_used: Vec::new(),
+        rr_sets_final: r.rr_sets_final,
+        rr_sets_total: r.rr_sets_total,
+    }
+}
+
 // ---------------------------------------------------------------------
 // The ten allocators.
 // ---------------------------------------------------------------------
 
 /// **bundleGRD** (Algorithm 1): one PRIMA ordering, every item seeded on
 /// its budget-prefix. Registry key `"bundle-grd"`.
+///
+/// ```text
+/// bundleGRD(I, b̄, G, ε, ℓ):
+///   S ← PRIMA(b̄, G, ε, ℓ)                // one prefix-preserving ordering
+///   for each item i: S_i ← top-b_i nodes of S
+///   return ⋃_i (S_i × {i})
+/// ```
+///
+/// By Theorem 2 the resulting allocation attains `(1 − 1/e − ε)` of the
+/// optimal expected social welfare with probability `1 − 1/n^ℓ`,
+/// *despite* the welfare function being neither submodular nor
+/// supermodular — the block-accounting analysis (see
+/// [`crate::accounting`]) carries the proof. The run never reads the
+/// instance's utility model: the guarantee requires only that the
+/// valuation is supermodular and price/noise additive, so the same
+/// allocation is simultaneously near-optimal for *every* such utility
+/// configuration ("the power of bundling", §4.2.1). To get the seed
+/// ordering itself, call [`uic_im::prima()`] and
+/// [`Allocation::from_prefixes`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BundleGrd {
     /// PRIMA approximation parameter ε (paper default 0.5).
@@ -361,28 +420,20 @@ impl Allocator for BundleGrd {
     }
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
-        let r = crate::bundle_grd(
+        let start = Instant::now();
+        let r = uic_im::prima(
             inst.graph(),
-            inst.budgets(),
+            &prima_budgets(inst),
             self.eps,
             self.ell,
             self.model,
             ctx.seed,
         );
-        SolveReport {
-            algorithm: self.name(),
-            allocation: r.allocation,
-            welfare: None,
-            elapsed: r.elapsed,
-            seed: ctx.seed,
-            budgets_used: Vec::new(),
-            rr_sets_final: r.rr_sets_final,
-            rr_sets_total: r.rr_sets_total,
-        }
+        prefix_report(self.name(), inst, ctx, start, r)
     }
 }
 
@@ -441,7 +492,7 @@ impl Allocator for ItemDisj {
     }
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
@@ -512,7 +563,7 @@ impl Allocator for BundleDisj {
     }
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
@@ -590,7 +641,7 @@ impl Allocator for RrSimPlus {
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
         needs_two_items(self.name(), inst)?;
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
@@ -655,7 +706,7 @@ impl Allocator for RrCim {
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
         needs_two_items(self.name(), inst)?;
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
@@ -715,7 +766,7 @@ impl Allocator for Bdhs {
         let start = Instant::now();
         let g = inst.graph();
         let (bundle, utility): (ItemSet, f64) = baselines::best_bundle(inst.model());
-        let mut allocation = uic_diffusion::Allocation::new();
+        let mut allocation = Allocation::new();
         if utility > 0.0 {
             // Rank by exact step support (prob. of ≥ 1 live in-edge).
             let mut order: Vec<NodeId> = (0..g.num_nodes()).collect();
@@ -735,12 +786,11 @@ impl Allocator for Bdhs {
                     .expect("edge probabilities are finite")
                     .then(a.cmp(&b))
             });
-            for item in bundle.iter() {
-                let b = inst.budgets()[item as usize] as usize;
-                for &v in &order[..b.min(order.len())] {
-                    allocation.assign(v, item);
-                }
-            }
+            // Each item of J* takes its budget-prefix; the rest get none.
+            let budgets: Vec<u32> = (inst.budgets().iter().zip(0..))
+                .map(|(&b, i)| if bundle.contains(i) { b } else { 0 })
+                .collect();
+            allocation = Allocation::from_prefixes(&order, &budgets);
         }
         SolveReport::new(self.name(), allocation).with_elapsed_since(start)
     }
@@ -912,11 +962,14 @@ impl Allocator for PageRankTop {
     }
 }
 
-/// **warm-grd**: bundleGRD's selection driven by [`uic_im::warm_prima`]
+/// **warm-grd**: bundleGRD's selection driven by [`uic_im::warm_prima_on`]
 /// over a caller-owned, extend-only RR arena. Bit-identical to a cold
 /// run with the same `(model, seed)` spec — the warm-PRIMA prefix
 /// contract — while repeat queries against a shared arena only *top up*
-/// samples instead of regenerating them. This is the `uic-serve` query
+/// samples instead of regenerating them. It runs the same certification
+/// loop as bundle-grd and agrees with it on `rr_sets_final`; only the
+/// final selection differs (the certified prefix instead of a
+/// regenerated sample). This is the `uic-serve` query
 /// engine; the [`Allocator::run`] path simply builds a fresh arena per
 /// call, making `warm-grd` the offline reference the server is tested
 /// against. Registry key `"warm-grd"`.
@@ -1002,25 +1055,14 @@ impl WarmGrd {
         arena: &A,
     ) -> Result<SolveReport, A::Error> {
         let start = Instant::now();
-        let mut sorted: Vec<u32> = inst.budgets().to_vec();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let r = uic_im::warm_prima_on(inst.graph(), arena, &sorted, self.eps, self.ell)?;
-        let mut allocation = uic_diffusion::Allocation::new();
-        for (i, &b_i) in inst.budgets().iter().enumerate() {
-            for &v in r.seeds_for_budget(b_i) {
-                allocation.assign(v, i as u32);
-            }
-        }
-        Ok(SolveReport {
-            algorithm: self.name(),
-            allocation,
-            welfare: None,
-            elapsed: start.elapsed(),
-            seed: ctx.seed,
-            budgets_used: Vec::new(),
-            rr_sets_final: r.rr_sets_final,
-            rr_sets_total: r.rr_sets_total,
-        })
+        let r = uic_im::warm_prima_on(
+            inst.graph(),
+            arena,
+            &prima_budgets(inst),
+            self.eps,
+            self.ell,
+        )?;
+        Ok(prefix_report(self.name(), inst, ctx, start, r))
     }
 }
 
@@ -1037,7 +1079,7 @@ impl Allocator for WarmGrd {
     }
 
     fn supports(&self, inst: &WelMaxInstance) -> Result<(), Unsupported> {
-        requires_additive(self.name(), inst)
+        ris_supports(self.name(), inst)
     }
 
     fn run(&self, inst: &WelMaxInstance, ctx: &SolveCtx) -> SolveReport {
@@ -1690,6 +1732,164 @@ mod tests {
             let b = entry.default_allocator().solve(&inst, &ctx);
             assert_eq!(a.allocation, b.allocation, "{}", entry.name);
             assert_eq!(a.welfare, b.welfare, "{}", entry.name);
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // bundle-grd: Algorithm 1 through the registry.
+    // -----------------------------------------------------------------
+
+    fn two_hub_graph() -> Graph {
+        let mut b = GraphBuilder::new(40);
+        for leaf in 2..25u32 {
+            b.add_edge(0, leaf, 0.8);
+        }
+        for leaf in 25..38u32 {
+            b.add_edge(1, leaf, 0.8);
+        }
+        b.build(Weighting::AsGiven, 0)
+    }
+
+    /// A `k`-item model; bundle-grd never reads it.
+    fn k_item_model(k: u32) -> UtilityModel {
+        UtilityModel::new(
+            Arc::new(uic_items::AdditiveValuation::uniform(k, 2.0)),
+            Price::additive(vec![1.0; k as usize]),
+            NoiseModel::none(k as usize),
+        )
+    }
+
+    /// Registry bundle-grd (ε = 0.4) on `budgets` in any item order.
+    fn bundle_grd(g: &Graph, budgets: &[u32], seed: u64) -> SolveReport {
+        let inst = WelMax::on(g)
+            .model(k_item_model(budgets.len() as u32))
+            .budgets(budgets.to_vec())
+            .any_item_order()
+            .build()
+            .unwrap();
+        let solver = <dyn Allocator>::parse("bundle-grd eps=0.4").unwrap();
+        solver.solve(&inst, &SolveCtx::new(seed).with_sims(0))
+    }
+
+    /// The PRIMA ordering behind [`bundle_grd`], checked to be the one
+    /// its allocation was cut from.
+    fn bundle_grd_order(g: &Graph, budgets: &[u32], seed: u64) -> (SolveReport, Vec<NodeId>) {
+        let report = bundle_grd(g, budgets, seed);
+        let mut sorted = budgets.to_vec();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let r = uic_im::prima(g, &sorted, 0.4, 1.0, DiffusionModel::IC, seed);
+        assert_eq!(
+            report.allocation,
+            Allocation::from_prefixes(&r.order, budgets)
+        );
+        assert_eq!(report.rr_sets_final, r.rr_sets_final);
+        assert_eq!(report.rr_sets_total, r.rr_sets_total);
+        (report, r.order)
+    }
+
+    #[test]
+    fn items_share_the_prefix() {
+        let g = two_hub_graph();
+        let (r, order) = bundle_grd_order(&g, &[3, 1], 5);
+        assert_eq!(order.len(), 3);
+        let s0 = r.allocation.seeds_of_item(0);
+        let s1 = r.allocation.seeds_of_item(1);
+        assert_eq!(s0.len(), 3);
+        assert_eq!(s1.len(), 1);
+        // Item 1's single seed is the top node of the shared ordering —
+        // the bundling property: small-budget items ride the best seeds.
+        assert!(s0.contains(&s1[0]));
+        assert_eq!(s1[0], order[0]);
+    }
+
+    #[test]
+    fn respects_budgets_exactly() {
+        let g = two_hub_graph();
+        let budgets = [4u32, 2, 2];
+        let r = bundle_grd(&g, &budgets, 7);
+        let used = r.allocation.budgets_used(3);
+        assert_eq!(used, vec![4, 2, 2]);
+        assert!(r.allocation.respects_budgets(&budgets));
+    }
+
+    #[test]
+    fn unsorted_budget_vector_accepted() {
+        let g = two_hub_graph();
+        // Item 0 has the SMALL budget here.
+        let (r, order) = bundle_grd_order(&g, &[1, 3], 9);
+        assert_eq!(r.allocation.seeds_of_item(0).len(), 1);
+        assert_eq!(r.allocation.seeds_of_item(1).len(), 3);
+        assert_eq!(r.allocation.seeds_of_item(0)[0], order[0]);
+    }
+
+    #[test]
+    fn hubs_are_chosen_first() {
+        let g = two_hub_graph();
+        let (_, mut top2) = bundle_grd_order(&g, &[2, 2], 11);
+        top2.sort_unstable();
+        assert_eq!(top2, vec![0, 1], "the two hubs dominate");
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let g = two_hub_graph();
+        let (a, a_order) = bundle_grd_order(&g, &[3, 2], 13);
+        let (b, b_order) = bundle_grd_order(&g, &[3, 2], 13);
+        assert_eq!(a_order, b_order);
+        assert_eq!(a.allocation, b.allocation);
+    }
+
+    #[test]
+    fn reports_rr_accounting() {
+        let g = two_hub_graph();
+        let r = bundle_grd(&g, &[3, 2], 15);
+        assert!(r.rr_sets_final > 0);
+        assert!(r.rr_sets_total >= r.rr_sets_final as u64);
+        assert!(r.elapsed.as_nanos() > 0);
+    }
+
+    #[test]
+    fn one_node_instances_are_solved_or_refused_through_supports() {
+        let g = GraphBuilder::new(1).build(Weighting::AsGiven, 0);
+        let ctx = SolveCtx::new(3).with_sims(20);
+        for model in [k_item_model(1), two_item_model()] {
+            let budgets = vec![1u32; model.num_items() as usize];
+            let inst = WelMax::on(&g)
+                .model(model)
+                .budgets(budgets)
+                .build()
+                .unwrap();
+            for entry in registry() {
+                let solver = entry.default_allocator();
+                match solver.supports(&inst) {
+                    Err(e) => assert_eq!(e.algorithm, entry.name),
+                    Ok(()) => {
+                        let report = solver.solve(&inst, &ctx);
+                        assert!(report.allocation.respects_budgets(inst.budgets()));
+                        assert!(report.welfare_mean().is_finite(), "{}", entry.name);
+                    }
+                }
+            }
+        }
+        // The RIS solvers refuse for the node count, not by accident.
+        let inst = WelMax::on(&g)
+            .model(two_item_model())
+            .budgets([1u32, 1])
+            .build()
+            .unwrap();
+        for name in [
+            "bundle-grd",
+            "warm-grd",
+            "item-disj",
+            "bundle-disj",
+            "rr-sim+",
+            "rr-cim",
+        ] {
+            let err = <dyn Allocator>::by_name(name)
+                .unwrap()
+                .supports(&inst)
+                .unwrap_err();
+            assert!(err.reason.contains("two nodes"), "{name}: {}", err.reason);
         }
     }
 }

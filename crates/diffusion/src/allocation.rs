@@ -34,6 +34,19 @@ impl Allocation {
         a
     }
 
+    /// bundleGRD's assignment (Algorithm 1): item `i` gets the first
+    /// `budgets[i]` nodes of one shared `order` (all of it when the budget
+    /// exceeds its length). `budgets` need not be sorted.
+    pub fn from_prefixes(order: &[NodeId], budgets: &[u32]) -> Allocation {
+        let mut a = Allocation::new();
+        for (i, &b) in budgets.iter().enumerate() {
+            for &v in &order[..(b as usize).min(order.len())] {
+                a.assign(v, i as u32);
+            }
+        }
+        a
+    }
+
     /// Adds the pair `(v, item)`.
     pub fn assign(&mut self, v: NodeId, item: u32) {
         let entry = self.per_node.entry(v).or_insert(ItemSet::EMPTY);
@@ -137,6 +150,17 @@ mod tests {
         assert_eq!(a.seeds_of_item(0), vec![1, 2, 3]);
         assert_eq!(a.seeds_of_item(1), vec![2, 4]);
         assert_eq!(a.items_of(2), ItemSet::from_items(&[0, 1]));
+    }
+
+    #[test]
+    fn from_prefixes_gives_each_item_its_budget_prefix() {
+        let a = Allocation::from_prefixes(&[7, 3, 5], &[1, 3, 5, 0]);
+        assert_eq!(a.seeds_of_item(0), vec![7]);
+        assert_eq!(a.seeds_of_item(1), vec![3, 5, 7]);
+        // Budgets past the ordering's end take all of it.
+        assert_eq!(a.seeds_of_item(2), vec![3, 5, 7]);
+        assert!(a.seeds_of_item(3).is_empty());
+        assert_eq!(a.items_of(7), ItemSet::from_items(&[0, 1, 2]));
     }
 
     #[test]

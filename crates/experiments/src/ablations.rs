@@ -21,12 +21,11 @@
 
 // The ablations deliberately drive the raw engine functions (custom
 // diffusion models, candidate pools, per-budget orderings) below the
-// registry facade.
+// registry facade; bundleGRD is `prima` + `Allocation::from_prefixes`.
 #![allow(deprecated)]
 
 use crate::common::{fmt, network, score_welfare, ExpOptions};
 use std::sync::Arc;
-use uic_core::bundle_grd;
 use uic_datasets::{NamedNetwork, TwoItemConfig};
 use uic_diffusion::{personalized_welfare_mc, Allocation, WelfareEstimator};
 use uic_im::{imm, opim_c, prima, skim, ssa, tim_plus, DiffusionModel, RrCollection, SkimOptions};
@@ -51,7 +50,7 @@ pub fn ablation_triggering_model(opts: &ExpOptions) -> Table {
     for k in [10u32, 30, 50] {
         let k = k.min(n);
         let budgets = [k, k];
-        let ic = bundle_grd(
+        let ic = prima(
             &g,
             &budgets,
             opts.eps,
@@ -59,7 +58,7 @@ pub fn ablation_triggering_model(opts: &ExpOptions) -> Table {
             DiffusionModel::IC,
             opts.seed,
         );
-        let lt = bundle_grd(
+        let lt = prima(
             &g,
             &budgets,
             opts.eps,
@@ -68,8 +67,14 @@ pub fn ablation_triggering_model(opts: &ExpOptions) -> Table {
             opts.seed,
         );
         // Score both allocations under the same (IC-based) UIC welfare.
-        let w_ic = score_welfare(&g, &model, &ic.allocation, opts);
-        let w_lt = score_welfare(&g, &model, &lt.allocation, opts);
+        let [w_ic, w_lt] = [&ic, &lt].map(|r| {
+            score_welfare(
+                &g,
+                &model,
+                &Allocation::from_prefixes(&r.order, &budgets),
+                opts,
+            )
+        });
         let overlap = ic.order.iter().filter(|v| lt.order.contains(v)).count();
         t.push_row(vec![
             k.to_string(),
@@ -109,7 +114,7 @@ pub fn ablation_submodular_prices(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30, 50] {
         let k = k.min(n);
-        let r = bundle_grd(
+        let r = prima(
             &g,
             &[k, k],
             opts.eps,
@@ -117,8 +122,9 @@ pub fn ablation_submodular_prices(opts: &ExpOptions) -> Table {
             DiffusionModel::IC,
             opts.seed,
         );
-        let w_add = score_welfare(&g, &base, &r.allocation, opts);
-        let w_disc = score_welfare(&g, &discounted, &r.allocation, opts);
+        let allocation = Allocation::from_prefixes(&r.order, &[k, k]);
+        let w_add = score_welfare(&g, &base, &allocation, opts);
+        let w_disc = score_welfare(&g, &discounted, &allocation, opts);
         t.push_row(vec![k.to_string(), fmt(w_add), fmt(w_disc)]);
     }
     t
@@ -136,7 +142,7 @@ pub fn ablation_personalized_noise(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30, 50] {
         let k = k.min(n);
-        let r = bundle_grd(
+        let r = prima(
             &g,
             &[k, k],
             opts.eps,
@@ -144,8 +150,9 @@ pub fn ablation_personalized_noise(opts: &ExpOptions) -> Table {
             DiffusionModel::IC,
             opts.seed,
         );
-        let pop = WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&r.allocation);
-        let pers = personalized_welfare_mc(&g, &r.allocation, &model, opts.sims, opts.seed).mean();
+        let allocation = Allocation::from_prefixes(&r.order, &[k, k]);
+        let pop = WelfareEstimator::new(&g, &model, opts.sims, opts.seed).estimate(&allocation);
+        let pers = personalized_welfare_mc(&g, &allocation, &model, opts.sims, opts.seed).mean();
         t.push_row(vec![k.to_string(), fmt(pop), fmt(pers)]);
     }
     t
@@ -169,7 +176,7 @@ pub fn ablation_competition(opts: &ExpOptions) -> Table {
     );
     for k in [10u32, 30] {
         let k = k.min(n / 2);
-        let bundled = bundle_grd(
+        let bundled = prima(
             &g,
             &[k, k],
             opts.eps,
@@ -185,7 +192,8 @@ pub fn ablation_competition(opts: &ExpOptions) -> Table {
             DiffusionModel::IC,
             opts.seed,
         );
-        let w_bundled = score_welfare(&g, &model, &bundled.allocation, opts);
+        let bundled = Allocation::from_prefixes(&bundled.order, &[k, k]);
+        let w_bundled = score_welfare(&g, &model, &bundled, opts);
         let w_disj = score_welfare(&g, &model, &disj.allocation, opts);
         t.push_row(vec![k.to_string(), fmt(w_bundled), fmt(w_disj)]);
     }
@@ -238,7 +246,7 @@ pub fn ablation_welfare_vs_adoption(opts: &ExpOptions) -> Table {
     let cfg = TwoItemConfig::new(3);
     let model = cfg.model();
     let k = 20u32.min(n);
-    let r = bundle_grd(
+    let r = prima(
         &g,
         &[k, k],
         opts.eps,
@@ -246,9 +254,10 @@ pub fn ablation_welfare_vs_adoption(opts: &ExpOptions) -> Table {
         DiffusionModel::IC,
         opts.seed,
     );
+    let allocation = Allocation::from_prefixes(&r.order, &[k, k]);
     let est = WelfareEstimator::new(&g, &model, opts.sims, opts.seed);
-    let welfare = est.estimate(&r.allocation);
-    let adoptions = est.estimate_adoptions(&r.allocation);
+    let welfare = est.estimate(&allocation);
+    let adoptions = est.estimate_adoptions(&allocation);
     // A bad-welfare allocation can still have adoption volume: seed only
     // the cheap positive item everywhere.
     let single: Allocation = Allocation::from_item_seeds(&[r.order.clone(), vec![]]);
@@ -424,7 +433,7 @@ pub fn ablation_pair_greedy(opts: &ExpOptions) -> Table {
     let k = 5u32.min(n);
     let budgets = [k, k];
     let clock = std::time::Instant::now();
-    let bg = bundle_grd(
+    let bg = prima(
         &g,
         &budgets,
         opts.eps,
@@ -432,6 +441,7 @@ pub fn ablation_pair_greedy(opts: &ExpOptions) -> Table {
         DiffusionModel::IC,
         opts.seed,
     );
+    let bg = Allocation::from_prefixes(&bg.order, &budgets);
     let bg_ms = clock.elapsed().as_secs_f64() * 1e3;
     // Pair-greedy over a degree-preselected candidate pool (the full
     // pool is quadratic; this is already orders of magnitude slower).
@@ -451,7 +461,7 @@ pub fn ablation_pair_greedy(opts: &ExpOptions) -> Table {
     );
     t.push_row(vec![
         "bundleGRD".into(),
-        fmt(score_welfare(&g, &model, &bg.allocation, opts)),
+        fmt(score_welfare(&g, &model, &bg, opts)),
         format!("{bg_ms:.1}"),
     ]);
     t.push_row(vec![

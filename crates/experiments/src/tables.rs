@@ -1,16 +1,11 @@
 //! Regenerators for Tables 2–6 of the paper.
 
-// Table 6 compares RR-set counts of the raw engines below the registry
-// facade.
-#![allow(deprecated)]
-
 use crate::common::{network, Algo, ExpOptions};
-use uic_core::bundle_grd;
 use uic_datasets::{
     auction, budget_splits, network_stats_table, real_params_table, Config, NamedNetwork,
     TwoItemConfig,
 };
-use uic_im::{imm, DiffusionModel};
+use uic_im::{imm, prima, DiffusionModel};
 use uic_util::Table;
 
 /// **Table 2**: statistics of the stand-in networks.
@@ -125,7 +120,9 @@ pub fn table6(opts: &ExpOptions) -> Table {
     for (name, budgets) in distros {
         let n = g.num_nodes();
         let budgets: Vec<u32> = budgets.iter().map(|&b| b.min(n)).collect();
-        let bg = bundle_grd(
+        // bundleGRD's RR sets are its PRIMA run's (the prefix assignment
+        // samples nothing); the splits are already non-increasing.
+        let bg = prima(
             &g,
             &budgets,
             opts.eps,

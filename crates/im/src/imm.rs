@@ -5,10 +5,13 @@
 //! Phase 1 (sampling) doubles a guess `x = n/2^i` downwards until the
 //! greedy seed set certifies a lower bound `LB ≥ OPT_k/(1+ε′)`; phase 2
 //! regenerates `θ = λ*/LB` fresh RR sets and runs the final
-//! `NodeSelection` on them.
+//! `NodeSelection` on them. That is exactly PRIMA on the one-entry
+//! budget vector `[k]` (its union-bound term `ln 1 / ln n` is `0`), so
+//! [`imm`] runs [`prima`]'s certification loop; this module keeps the
+//! sample-size bounds that loop, OPIM-C and SSA share.
 
-use crate::node_selection::{node_selection, NodeSelectionResult};
-use crate::rrset::{DiffusionModel, RrCollection};
+use crate::prima::prima;
+use crate::rrset::DiffusionModel;
 use uic_graph::{Graph, NodeId};
 use uic_util::log_choose;
 
@@ -67,8 +70,6 @@ impl Bounds {
 pub struct ImmResult {
     /// Seeds in greedy order (`k` of them).
     pub seeds: Vec<NodeId>,
-    /// Spread estimate of the full seed set on the final collection.
-    pub estimated_spread: f64,
     /// RR sets used by the final NodeSelection (the paper's
     /// Fig. 6 / Table 6 "number of RR sets" metric).
     pub rr_sets_final: usize,
@@ -76,43 +77,17 @@ pub struct ImmResult {
     pub rr_sets_total: u64,
 }
 
-/// Runs IMM for a single budget `k` under the given diffusion model.
+/// Runs IMM for a single budget `k` under the given diffusion model:
+/// [`prima`] on `[k]`.
 ///
 /// `ell` is fractional to allow PRIMA-style inflation; plain IMM calls
 /// pass the paper's default `ℓ = 1`.
 pub fn imm(g: &Graph, k: u32, eps: f64, ell: f64, model: DiffusionModel, seed: u64) -> ImmResult {
-    let n = g.num_nodes();
-    assert!(k >= 1 && k <= n, "budget {k} out of range for n={n}");
-    // ℓ ← ℓ + ln 2 / ln n boosts success probability to 1 − 1/n^ℓ
-    // (accounts for the two-phase union bound).
-    let ell = ell + 2f64.ln() / (n as f64).ln();
-    let bounds = Bounds::new(n, eps, ell);
-    let eps_prime = bounds.eps_prime();
-    let mut coll = RrCollection::new(g, model, seed);
-    let mut lb = 1.0f64;
-    let nf = n as f64;
-    for i in 1..=bounds.max_rounds() {
-        let x = nf / 2f64.powi(i as i32);
-        let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
-        coll.extend_to(g, theta_i);
-        let sel = node_selection(&mut coll, k);
-        let est = sel.estimated_spread(n, k as usize);
-        if est >= (1.0 + eps_prime) * x {
-            lb = est / (1.0 + eps_prime);
-            break;
-        }
-    }
-    let theta = (bounds.lambda_star(k) / lb).ceil() as usize;
-    // Chen (2018) fix: regenerate from scratch for the final selection.
-    coll.reset();
-    coll.extend_to(g, theta);
-    let sel: NodeSelectionResult = node_selection(&mut coll, k);
-    let estimated_spread = sel.estimated_spread(n, sel.seeds.len());
+    let r = prima(g, &[k], eps, ell, model, seed);
     ImmResult {
-        seeds: sel.seeds,
-        estimated_spread,
-        rr_sets_final: coll.len(),
-        rr_sets_total: coll.total_generated(),
+        seeds: r.order,
+        rr_sets_final: r.rr_sets_final,
+        rr_sets_total: r.rr_sets_total,
     }
 }
 

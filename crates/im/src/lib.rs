@@ -19,13 +19,19 @@
 //!   the serving layer's query plan cache.
 //! * [`mod@imm`] — IMM of Tang et al. (2015) with the Chen (2018) fix: the
 //!   final RR collection is regenerated from scratch before the last
-//!   `NodeSelection`.
+//!   `NodeSelection`. IMM is PRIMA on the one-entry budget vector `[k]`;
+//!   the module keeps the sample-size bounds the RIS algorithms share.
 //! * [`tim`] — TIM⁺ (Tang et al., 2014), the predecessor that generates
 //!   substantially more RR sets; the RR-SIM+/RR-CIM baselines are built
 //!   on it, matching Fig. 6's memory comparison.
 //! * [`mod@prima`] — **PRIMA** (Algorithm 2): the prefix-preserving
 //!   multi-budget IMM extension that powers bundleGRD; its seed ordering
 //!   is simultaneously near-optimal for *every* budget in the vector.
+//!   The module holds the one RIS sampling/certification loop, over a
+//!   [`prima::WarmArena`]: cold [`prima()`] runs it on a fresh
+//!   collection and regenerates the final sample, [`warm_prima_on`]
+//!   finishes on the certified prefix of a shared, extend-only arena,
+//!   and [`imm()`] is `prima(&[k])`.
 //! * [`greedy`] — CELF-style lazy greedy over an arbitrary monotone
 //!   submodular oracle (exact spread on tiny graphs in tests; MC spread
 //!   otherwise), used to validate approximation ratios empirically.
@@ -56,7 +62,7 @@ pub use imm::{imm, ImmResult};
 pub use node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
 pub use opim::{opim_c, OpimResult};
 pub use plan::SelectionPlan;
-pub use prima::{prima, warm_prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena};
+pub use prima::{prima, warm_prima_on, ExclusiveArena, PrimaResult, WarmArena};
 pub use rrset::{DiffusionModel, RrCollection, RrSampler, StandardRrSampler};
 pub use skim::{skim, SkimOptions, SkimResult};
 pub use ssa::{ssa, SsaResult};

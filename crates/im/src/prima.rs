@@ -13,6 +13,14 @@
 //!   and the previous greedy ordering's prefixes on budget switches, and
 //! * regenerating the final collection from scratch (the Chen 2018 fix)
 //!   before the last `NodeSelection`.
+//!
+//! The module holds the workspace's one sampling/certification loop, a
+//! private driver over a [`WarmArena`]. Three entry points finish it:
+//! [`prima`] (a fresh [`ExclusiveArena`], then the Chen regeneration),
+//! [`warm_prima_on`] (no regeneration: the final selection runs on the
+//! certified prefix of a shared, extend-only arena), and
+//! [`imm`](crate::imm()), which is `prima(&[k])` — with one budget the
+//! union-bound term `ln 1 / ln n` is `0`.
 
 use crate::imm::Bounds;
 use crate::node_selection::{node_selection, node_selection_prefix_indexed, NodeSelectionResult};
@@ -42,7 +50,10 @@ impl PrimaResult {
     }
 }
 
-/// Runs PRIMA on budget vector `budgets` (must be sorted non-increasing).
+/// Runs PRIMA on budget vector `budgets` (must be sorted non-increasing)
+/// over a fresh collection: the certification loop, then the Chen (2018)
+/// regeneration — the loop's sets are discarded and the final
+/// `NodeSelection` runs on `θ` freshly drawn ones.
 pub fn prima(
     g: &Graph,
     budgets: &[u32],
@@ -51,142 +62,35 @@ pub fn prima(
     model: DiffusionModel,
     seed: u64,
 ) -> PrimaResult {
-    let n = g.num_nodes();
-    assert!(!budgets.is_empty(), "budget vector must be non-empty");
-    assert!(
-        budgets.windows(2).all(|w| w[0] >= w[1]),
-        "budgets must be sorted in non-increasing order"
-    );
-    let b = budgets[0];
-    assert!(b >= 1 && b <= n, "max budget {b} out of range for n={n}");
-    assert!(*budgets.last().unwrap() >= 1, "budgets must be ≥ 1");
-
-    let nf = n as f64;
-    // Line 2: ℓ ← ℓ + ln 2 / ln n, then ℓ′ = log_n(n^ℓ · |b̄|).
-    let ell_boosted = ell + 2f64.ln() / nf.ln();
-    let ell_prime = ell_boosted + (budgets.len() as f64).ln() / nf.ln();
-    let bounds = Bounds::new(n, eps, ell_prime);
-    let eps_prime = bounds.eps_prime();
-
     let mut coll = RrCollection::new(g, model, seed);
-    let mut s = 0usize; // index into budgets (paper's s−1)
-    let mut i = 1u32;
-    let mut budget_switch = false;
-    let mut prev_selection: Option<NodeSelectionResult> = None;
-    let mut theta_required = 0usize;
-    let max_rounds = bounds.max_rounds();
-
-    while i <= max_rounds && s < budgets.len() {
-        let k = budgets[s];
-        let x = nf / 2f64.powi(i as i32);
-        let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
-        coll.extend_to(g, theta_i);
-        // Line 8–11: on a budget switch, reuse the previous ordering's
-        // prefix instead of re-running NodeSelection.
-        let estimate = if budget_switch {
-            let prev = prev_selection
-                .as_ref()
-                .expect("budget switch implies a previous selection");
-            let prefix = prev.prefix(k as usize);
-            coll.num_nodes() as f64 * fraction_covered(&mut coll, prefix)
-        } else {
-            let sel = node_selection(&mut coll, k);
-            let est = sel.estimated_spread(n, sel.seeds.len().min(k as usize));
-            prev_selection = Some(sel);
-            est
-        };
-        if estimate >= (1.0 + eps_prime) * x {
-            // Lines 13–17: certify LB, size the collection for this
-            // budget, move to the next one.
-            let lb = estimate / (1.0 + eps_prime);
-            let theta_k = (bounds.lambda_star(k) / lb).ceil() as usize;
-            theta_required = theta_required.max(theta_k);
-            s += 1;
-            budget_switch = true;
-            if s < budgets.len() {
-                // Grow R so the next budget's coverage check can reuse it
-                // (line 15). Skipped after the last budget: the final
-                // collection is regenerated from scratch anyway.
-                coll.extend_to(g, theta_k);
-            }
-        } else {
-            i += 1;
-            budget_switch = false;
-        }
-    }
-    let budgets_certified = s;
-    if s < budgets.len() {
-        // Lines 20–21: remaining budgets fall back to LB = 1; the largest
-        // remaining requirement is the current budget's λ* (λ* is
-        // monotone in k and budgets are non-increasing).
-        let theta_k = bounds.lambda_star(budgets[s]).ceil() as usize;
-        theta_required = theta_required.max(theta_k);
-    }
+    let cert = match certify(g, &ExclusiveArena::new(&mut coll), budgets, eps, ell) {
+        Ok(cert) => cert,
+        Err(never) => match never {},
+    };
     // Lines 22–25: regenerate from scratch, final NodeSelection at b.
     coll.reset();
-    coll.extend_to(g, theta_required.max(1));
-    let sel = node_selection(&mut coll, b);
+    coll.extend_to(g, cert.theta);
+    let sel = node_selection(&mut coll, budgets[0]);
     PrimaResult {
         order: sel.seeds,
         coverage: sel.covered,
         rr_sets_final: coll.len(),
         rr_sets_total: coll.total_generated(),
-        budgets_certified,
+        budgets_certified: cert.budgets_certified,
     }
 }
 
-/// PRIMA over a **warm, shared, extend-only** RR collection — the
-/// resident-service variant of [`prima`].
+/// Shared access to a warm RR arena, as the certification loop consumes
+/// it.
 ///
-/// Runs the same certification loop and final selection as [`prima`],
-/// but every selection and spread estimate is restricted to an explicit
-/// arena *prefix* (the running maximum of the sample-size targets this
-/// call has requested), and the collection is **never reset**: samples
-/// are only ever topped up with [`RrCollection::extend_to`]. Because RR
-/// set `j` is a pure function of `(seed, j)` and prefixes of a warm
-/// arena coincide with a cold arena's contents, the result is a pure
-/// function of `(graph, budgets, eps, ell, collection seed)` —
-/// independent of whatever earlier queries grew the arena. A server can
-/// therefore keep one collection per `(model, seed)` resident across
-/// queries and still answer bit-identically to an offline run on a
-/// fresh collection.
-///
-/// The price of reuse: the Chen (2018) from-scratch regeneration before
-/// the final `NodeSelection` is deliberately skipped (a regeneration
-/// draws fresh sets and can never be replayed on a shared arena), so
-/// the final estimate reuses certification-phase sets, as the original
-/// IMM did. `rr_sets_total` reports the cold-equivalent sample count
-/// (what a fresh run would generate), not the warm arena's top-up —
-/// callers that want the actual incremental work should difference
-/// [`RrCollection::total_generated`] around the call.
-///
-/// # Panics
-/// On the same budget/parameter violations as [`prima`], and when
-/// `coll` is not extend-only (a reset collection replays nothing) or is
-/// bound to a different graph size.
-pub fn warm_prima(
-    g: &Graph,
-    coll: &mut RrCollection,
-    budgets: &[u32],
-    eps: f64,
-    ell: f64,
-) -> PrimaResult {
-    match warm_prima_on(g, &ExclusiveArena::new(coll), budgets, eps, ell) {
-        Ok(r) => r,
-        Err(never) => match never {},
-    }
-}
-
-/// Shared access to a warm RR arena, as [`warm_prima_on`] consumes it.
-///
-/// The certification loop alternates two phases with very different
-/// locking needs: *top-up* (append sets, merge the index — exclusive)
-/// and *selection / coverage estimation* (pure reads — shareable). This
-/// trait names that split so one driver serves both the trivial
-/// exclusive case ([`warm_prima`] on `&mut RrCollection`) and a
-/// reader/writer shared arena (the `uic-serve` sharded registry, where
-/// many queries select concurrently under read locks and only top-up
-/// briefly takes the write lock).
+/// The loop alternates two phases with very different locking needs:
+/// *top-up* (append sets, merge the index — exclusive) and *selection /
+/// coverage estimation* (pure reads — shareable). This trait names that
+/// split so one driver serves the trivial exclusive case
+/// ([`ExclusiveArena`], which cold [`prima`] runs on a fresh collection)
+/// and a reader/writer shared arena (the `uic-serve` sharded registry,
+/// where many queries select concurrently under read locks and only
+/// top-up briefly takes the write lock).
 ///
 /// ## Contract
 ///
@@ -226,8 +130,7 @@ pub trait WarmArena {
     }
 }
 
-/// The trivial [`WarmArena`]: exclusive ownership of one collection
-/// (what [`warm_prima`] wraps around its `&mut RrCollection`).
+/// The trivial [`WarmArena`]: exclusive ownership of one collection.
 pub struct ExclusiveArena<'a> {
     coll: std::cell::RefCell<&'a mut RrCollection>,
 }
@@ -256,12 +159,33 @@ impl WarmArena for ExclusiveArena<'_> {
     }
 }
 
-/// [`warm_prima`] over any [`WarmArena`]: the same certification loop,
-/// with top-up routed through `prepare` (exclusive) and every selection
-/// / coverage estimate through `read` (shared). Bit-identical to
-/// [`prima`] with the arena's `(model, seed)` regardless of how large
-/// the shared arena already is or concurrently becomes — all reads are
-/// prefix-restricted to this call's own running extend target.
+/// PRIMA over a **warm, shared, extend-only** RR arena — the
+/// resident-service variant of [`prima`].
+///
+/// Runs the same certification loop as [`prima`], with top-up routed
+/// through `prepare` (exclusive) and every selection / coverage
+/// estimate through `read` (shared), each restricted to an explicit
+/// arena *prefix* (the running maximum of the sample-size targets this
+/// call has requested). The collection is **never reset**: samples are
+/// only ever topped up with [`RrCollection::extend_to`]. Because RR set
+/// `j` is a pure function of `(seed, j)` and prefixes of a warm arena
+/// coincide with a cold arena's contents, the result is a pure function
+/// of `(graph, budgets, eps, ell, collection seed)` — independent of
+/// whatever earlier queries grew the arena or concurrently grow it. A
+/// server can therefore keep one collection per `(model, seed)`
+/// resident across queries and still answer bit-identically to an
+/// offline run on a fresh collection.
+///
+/// The price of reuse: the Chen (2018) from-scratch regeneration before
+/// the final `NodeSelection` is deliberately skipped (a regeneration
+/// draws fresh sets and can never be replayed on a shared arena), so
+/// the final selection runs on the first `θ` sets of the stream,
+/// reusing certification-phase sets as the original IMM did.
+/// `rr_sets_final` and `budgets_certified` equal [`prima`]'s;
+/// `rr_sets_total` reports the cold-equivalent prefix length (what a
+/// fresh arena would hold), not the warm arena's top-up — callers that
+/// want the actual incremental work should difference
+/// [`RrCollection::total_generated`] around the call.
 ///
 /// # Errors
 /// Whatever `prepare` returns; the loop stops at the first refusal.
@@ -276,6 +200,42 @@ pub fn warm_prima_on<A: WarmArena>(
     eps: f64,
     ell: f64,
 ) -> Result<PrimaResult, A::Error> {
+    let cert = certify(g, arena, budgets, eps, ell)?;
+    // Final selection on the θ prefix — top-up, never reset.
+    let sampled = cert.sampled.max(cert.theta);
+    arena.prepare(g, sampled)?;
+    let sel = arena.select(budgets[0], cert.theta);
+    Ok(PrimaResult {
+        order: sel.seeds,
+        coverage: sel.covered,
+        rr_sets_final: cert.theta,
+        rr_sets_total: sampled as u64,
+        budgets_certified: cert.budgets_certified,
+    })
+}
+
+/// What the certification loop decided.
+struct Certified {
+    /// `θ`: sets the final `NodeSelection` needs (at least 1).
+    theta: usize,
+    /// The arena prefix the loop sampled: the running max of its extend
+    /// targets.
+    sampled: usize,
+    /// Budget entries certified inside the loop.
+    budgets_certified: usize,
+}
+
+/// Algorithm 2, lines 1–21: the one sampling/certification loop behind
+/// [`prima`], [`warm_prima_on`] and (as `prima(&[k])`) IMM. Every read
+/// is restricted to the loop's own prefix, so the arena may be fresh or
+/// already warm.
+fn certify<A: WarmArena>(
+    g: &Graph,
+    arena: &A,
+    budgets: &[u32],
+    eps: f64,
+    ell: f64,
+) -> Result<Certified, A::Error> {
     let n = g.num_nodes();
     assert!(!budgets.is_empty(), "budget vector must be non-empty");
     assert!(
@@ -290,20 +250,19 @@ pub fn warm_prima_on<A: WarmArena>(
         assert_eq!(
             coll.total_generated(),
             coll.len() as u64,
-            "warm_prima needs an extend-only (never reset) collection"
+            "certification needs an extend-only (never reset) collection"
         );
     });
 
     let nf = n as f64;
+    // Line 2: ℓ ← ℓ + ln 2 / ln n, then ℓ′ = log_n(n^ℓ · |b̄|).
     let ell_boosted = ell + 2f64.ln() / nf.ln();
     let ell_prime = ell_boosted + (budgets.len() as f64).ln() / nf.ln();
     let bounds = Bounds::new(n, eps, ell_prime);
     let eps_prime = bounds.eps_prime();
 
-    // The prefix: how many sets a cold run would hold right now — the
-    // running max of every extend target requested by this call.
-    let mut cur = 0usize;
-    let mut s = 0usize;
+    let mut sampled = 0usize;
+    let mut s = 0usize; // index into budgets (paper's s−1)
     let mut i = 1u32;
     let mut budget_switch = false;
     let mut prev_selection: Option<NodeSelectionResult> = None;
@@ -314,67 +273,60 @@ pub fn warm_prima_on<A: WarmArena>(
         let k = budgets[s];
         let x = nf / 2f64.powi(i as i32);
         let theta_i = (bounds.lambda_prime(k) / x).ceil() as usize;
-        cur = cur.max(theta_i);
-        arena.prepare(g, cur)?;
+        sampled = sampled.max(theta_i);
+        arena.prepare(g, sampled)?;
+        // Lines 8–11: on a budget switch, reuse the previous ordering's
+        // prefix instead of re-running NodeSelection.
         let estimate = if budget_switch {
             let prev = prev_selection
                 .as_ref()
                 .expect("budget switch implies a previous selection");
             let prefix = prev.prefix(k as usize);
-            // Shaped exactly like `prima`'s `n * fraction_covered(..)`
-            // (spread ÷ n, then × n): the spare divide/multiply pair is
-            // not a float identity, and certification thresholds compare
-            // this value — bit-identity to the cold path requires the
-            // identical rounding sequence.
+            // `n · F_R(S)`: spread ÷ n, then × n. The divide/multiply
+            // pair is not a float identity, and the certification
+            // threshold compares this value, so its rounding is pinned.
             arena.read(|coll| {
-                nf * (coll.estimate_spread_prefix_indexed(prefix, cur) / coll.num_nodes() as f64)
+                nf * (coll.estimate_spread_prefix_indexed(prefix, sampled)
+                    / coll.num_nodes() as f64)
             })
         } else {
-            let sel = arena.select(k, cur);
+            let sel = arena.select(k, sampled);
             let est = sel.estimated_spread(n, sel.seeds.len().min(k as usize));
             prev_selection = Some(sel);
             est
         };
         if estimate >= (1.0 + eps_prime) * x {
+            // Lines 13–17: certify LB, size the collection for this
+            // budget, move to the next one.
             let lb = estimate / (1.0 + eps_prime);
             let theta_k = (bounds.lambda_star(k) / lb).ceil() as usize;
             theta_required = theta_required.max(theta_k);
             s += 1;
             budget_switch = true;
             if s < budgets.len() {
-                cur = cur.max(theta_k);
-                arena.prepare(g, cur)?;
+                // Grow R so the next budget's coverage check can reuse it
+                // (line 15). Skipped after the last budget: the final
+                // selection sizes the collection itself.
+                sampled = sampled.max(theta_k);
+                arena.prepare(g, sampled)?;
             }
         } else {
             i += 1;
             budget_switch = false;
         }
     }
-    let budgets_certified = s;
     if s < budgets.len() {
+        // Lines 20–21: remaining budgets fall back to LB = 1; the largest
+        // remaining requirement is the current budget's λ* (λ* is
+        // monotone in k and budgets are non-increasing).
         let theta_k = bounds.lambda_star(budgets[s]).ceil() as usize;
         theta_required = theta_required.max(theta_k);
     }
-    // Final selection on the θ-required prefix — top-up, never reset.
-    let final_sets = theta_required.max(1);
-    cur = cur.max(final_sets);
-    arena.prepare(g, cur)?;
-    let sel = arena.select(b, final_sets);
-    Ok(PrimaResult {
-        order: sel.seeds,
-        coverage: sel.covered,
-        rr_sets_final: final_sets,
-        rr_sets_total: cur as u64,
-        budgets_certified,
+    Ok(Certified {
+        theta: theta_required.max(1),
+        sampled,
+        budgets_certified: s,
     })
-}
-
-/// `F_R(S)` for an arbitrary seed set over a collection.
-fn fraction_covered(coll: &mut RrCollection, seeds: &[NodeId]) -> f64 {
-    if coll.is_empty() {
-        return 0.0;
-    }
-    coll.estimate_spread(seeds) / coll.num_nodes() as f64
 }
 
 #[cfg(test)]
@@ -512,9 +464,9 @@ mod tests {
         // included.
         let g = hub_graph();
         let mut c1 = RrCollection::new(&g, DiffusionModel::IC, 23);
-        let a = warm_prima(&g, &mut c1, &[5, 3, 1], 0.4, 1.0);
+        let a = warm_prima_on(&g, &ExclusiveArena::new(&mut c1), &[5, 3, 1], 0.4, 1.0).unwrap();
         let mut c2 = RrCollection::new(&g, DiffusionModel::IC, 23);
-        let b = warm_prima(&g, &mut c2, &[5, 3, 1], 0.4, 1.0);
+        let b = warm_prima_on(&g, &ExclusiveArena::new(&mut c2), &[5, 3, 1], 0.4, 1.0).unwrap();
         assert_eq!(a.order, b.order);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.rr_sets_final, b.rr_sets_final);
@@ -529,14 +481,16 @@ mod tests {
         let g = hub_graph();
         let mut warm = RrCollection::new(&g, DiffusionModel::IC, 31);
         // Query 1 grows the arena.
-        let q1_warm = warm_prima(&g, &mut warm, &[6, 2], 0.4, 1.0);
+        let q1_warm =
+            warm_prima_on(&g, &ExclusiveArena::new(&mut warm), &[6, 2], 0.4, 1.0).unwrap();
         // Query 2, different budgets, reuses the (now large) arena.
-        let q2_warm = warm_prima(&g, &mut warm, &[3], 0.5, 1.0);
+        let q2_warm = warm_prima_on(&g, &ExclusiveArena::new(&mut warm), &[3], 0.5, 1.0).unwrap();
         // Cold replicas.
         let mut cold1 = RrCollection::new(&g, DiffusionModel::IC, 31);
-        let q1_cold = warm_prima(&g, &mut cold1, &[6, 2], 0.4, 1.0);
+        let q1_cold =
+            warm_prima_on(&g, &ExclusiveArena::new(&mut cold1), &[6, 2], 0.4, 1.0).unwrap();
         let mut cold2 = RrCollection::new(&g, DiffusionModel::IC, 31);
-        let q2_cold = warm_prima(&g, &mut cold2, &[3], 0.5, 1.0);
+        let q2_cold = warm_prima_on(&g, &ExclusiveArena::new(&mut cold2), &[3], 0.5, 1.0).unwrap();
         assert_eq!(q1_warm.order, q1_cold.order);
         assert_eq!(q1_warm.coverage, q1_cold.coverage);
         assert_eq!(q1_warm.rr_sets_total, q1_cold.rr_sets_total);
@@ -552,9 +506,9 @@ mod tests {
         // zero new RR sets — the amortization the server exists for.
         let g = hub_graph();
         let mut warm = RrCollection::new(&g, DiffusionModel::IC, 47);
-        let first = warm_prima(&g, &mut warm, &[4, 2], 0.4, 1.0);
+        let first = warm_prima_on(&g, &ExclusiveArena::new(&mut warm), &[4, 2], 0.4, 1.0).unwrap();
         let generated_after_first = warm.total_generated();
-        let second = warm_prima(&g, &mut warm, &[4, 2], 0.4, 1.0);
+        let second = warm_prima_on(&g, &ExclusiveArena::new(&mut warm), &[4, 2], 0.4, 1.0).unwrap();
         assert_eq!(warm.total_generated(), generated_after_first);
         assert_eq!(first.order, second.order);
         assert_eq!(first.rr_sets_total, second.rr_sets_total);
@@ -567,7 +521,7 @@ mod tests {
         let mut coll = RrCollection::new(&g, DiffusionModel::IC, 1);
         coll.extend_to(&g, 10);
         coll.reset();
-        warm_prima(&g, &mut coll, &[2], 0.4, 1.0);
+        warm_prima_on(&g, &ExclusiveArena::new(&mut coll), &[2], 0.4, 1.0).unwrap();
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //!
 //! Arenas are keyed by `(diffusion model, solver seed)` — exactly the
 //! inputs that determine the RR sample stream — and grown only through
-//! `extend_to` (top-up), never reset. [`uic_im::warm_prima`] certifies
-//! every query on a prefix of that stream, so a response computed on a
-//! warm shared arena is bit-identical to the same request solved cold
-//! (the `warm-grd` registry allocator): the server may cache samples,
-//! but it may not change answers.
+//! `extend_to` (top-up), never reset. [`uic_im::warm_prima_on`] — the
+//! warm finisher of `uic-im`'s one certification loop — certifies every
+//! query on a prefix of that stream, so a response computed on a warm
+//! shared arena is bit-identical to the same request solved cold (the
+//! `warm-grd` registry allocator): the server may cache samples, but it
+//! may not change answers.
 //!
 //! Selection runs under the arena's *read* lock (concurrent queries on
 //! one arena proceed in parallel); only top-up takes the write lock —

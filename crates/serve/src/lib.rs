@@ -9,7 +9,8 @@
 //! queries over TCP, and serves `warm-grd` requests from shared
 //! extend-only [`RrCollection`](uic_im::RrCollection) arenas that only
 //! ever *top up* (via prefix-stable
-//! [`warm_prima`](uic_im::warm_prima)) — never regenerate — while
+//! [`warm_prima_on`](uic_im::warm_prima_on), the warm finisher of
+//! `uic-im`'s one certification loop) — never regenerate — while
 //! staying bit-identical to a cold offline run of the same request.
 //!
 //! Built entirely on `std` (`std::net` + threads): no async runtime, no

@@ -1,7 +1,7 @@
 //! The sharded warm-arena registry: per-arena reader/writer locks, a
 //! byte-budget LRU eviction policy, and the [`ArenaHandle`] that plugs
-//! the whole thing into [`uic_im::warm_prima_on`] as a
-//! [`WarmArena`].
+//! the whole thing into [`uic_im::warm_prima_on`] (the warm entry point
+//! of `uic-im`'s one certification loop) as a [`WarmArena`].
 //!
 //! ## Locking design
 //!

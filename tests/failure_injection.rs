@@ -101,12 +101,12 @@ fn noise_model_arity_is_enforced_at_model_assembly() {
 // ---------------------------------------------------------------------
 
 #[test]
-#[allow(deprecated)] // boundary test on the engine entry point
 fn bundle_grd_with_budget_equal_to_n_seeds_everyone() {
     let g = Graph::from_edges(4, &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)]);
-    let r = uic::core::bundle_grd(&g, &[4, 2], 0.5, 1.0, DiffusionModel::IC, 1);
-    assert_eq!(r.allocation.seeds_of_item(0).len(), 4);
-    assert_eq!(r.allocation.seeds_of_item(1).len(), 2);
+    let r = prima(&g, &[4, 2], 0.5, 1.0, DiffusionModel::IC, 1);
+    let allocation = Allocation::from_prefixes(&r.order, &[4, 2]);
+    assert_eq!(allocation.seeds_of_item(0).len(), 4);
+    assert_eq!(allocation.seeds_of_item(1).len(), 2);
 }
 
 #[test]
