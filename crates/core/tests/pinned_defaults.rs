@@ -16,8 +16,9 @@
 
 use std::sync::Arc;
 use uic_core::{registry, SolveCtx, WelMax};
+use uic_datasets::{preferential_attachment, PaOptions, TwoItemConfig};
 use uic_diffusion::WelfareEstimator;
-use uic_graph::{Graph, GraphBuilder, Weighting};
+use uic_graph::{Graph, GraphBuilder, WeightClass, Weighting};
 use uic_im::{node_selection, DiffusionModel, RrCollection};
 use uic_items::{NoiseModel, Price, TableValuation, UtilityModel};
 
@@ -70,6 +71,33 @@ fn estimator_pin() -> (u64, f64, f64) {
     (stats.count(), stats.mean(), stats.ci95_halfwidth())
 }
 
+/// Welfare on a weighted-cascade graph (`1/d_in` probabilities derived
+/// from structure, zero weight bytes) under the Config-1 model: the
+/// cascade kernel's compact-weight arm, which the `AsGiven` pins above
+/// never reach.
+fn weighted_cascade_pin() -> (u64, f64, f64) {
+    let g = preferential_attachment(
+        PaOptions {
+            n: 400,
+            edges_per_node: 4,
+            undirected: true,
+            ..PaOptions::default()
+        },
+        11,
+    );
+    assert_eq!(g.weight_class(), WeightClass::InDegree);
+    let model = TwoItemConfig::new(1).model();
+    let mut alloc = uic_diffusion::Allocation::new();
+    for v in 0..6 {
+        alloc.assign(v, 0);
+    }
+    for v in 3..9 {
+        alloc.assign(v, 1);
+    }
+    let stats = WelfareEstimator::new(&g, &model, 400, 31).estimate_stats(&alloc);
+    (stats.count(), stats.mean(), stats.ci95_halfwidth())
+}
+
 fn selection_pin() -> (Vec<u32>, Vec<u64>, usize) {
     let g = ring_graph();
     let mut coll = RrCollection::new(&g, DiffusionModel::IC, 77);
@@ -111,6 +139,8 @@ fn solver_pins() -> Vec<SolverPin<Vec<(u32, u32)>>> {
 fn print_pins() {
     let (count, mean, ci) = estimator_pin();
     println!("ESTIMATOR: ({count}, {mean:?}, {ci:?})");
+    let (count, mean, ci) = weighted_cascade_pin();
+    println!("WEIGHTED CASCADE: ({count}, {mean:?}, {ci:?})");
     let (seeds, covered, num_sets) = selection_pin();
     println!("SELECTION: ({seeds:?}, {covered:?}, {num_sets})");
     for (name, pairs, welfare) in solver_pins() {
@@ -124,6 +154,14 @@ fn estimator_default_objective_is_bit_identical_to_pre_refactor() {
     assert_eq!(count, 500);
     assert_eq!(mean, PIN_ESTIMATOR_MEAN);
     assert_eq!(ci, PIN_ESTIMATOR_CI95);
+}
+
+#[test]
+fn weighted_cascade_welfare_is_bit_identical_to_its_pin() {
+    let (count, mean, ci) = weighted_cascade_pin();
+    assert_eq!(count, 400);
+    assert_eq!(mean, PIN_WEIGHTED_CASCADE_MEAN);
+    assert_eq!(ci, PIN_WEIGHTED_CASCADE_CI95);
 }
 
 #[test]
@@ -153,6 +191,9 @@ fn all_registered_solvers_are_bit_identical_to_their_pins() {
 
 const PIN_ESTIMATOR_MEAN: f64 = 3.2928313834483762;
 const PIN_ESTIMATOR_CI95: f64 = 0.45766831301240324;
+// Captured before the cascade kernel's per-target probability table.
+const PIN_WEIGHTED_CASCADE_MEAN: f64 = 117.71305699613531;
+const PIN_WEIGHTED_CASCADE_CI95: f64 = 11.155529901694983;
 const PIN_SELECTION_SEEDS: &[u32] = &[0, 2, 5, 7];
 const PIN_SELECTION_COVERED: &[u64] = &[1033, 1405, 1629, 1737];
 const PIN_SELECTION_NUM_SETS: usize = 2000;

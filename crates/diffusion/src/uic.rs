@@ -97,6 +97,11 @@ pub struct UicSimulator {
 
 impl UicSimulator {
     /// Scratch sized for graph `g`.
+    ///
+    /// The simulator caches data derived from `g`, so every diffusion it
+    /// runs must be on `g` itself (see [`CascadeState::new`]); the run
+    /// methods panic on a graph of another node count, edge count or
+    /// weight class.
     pub fn new(g: &Graph) -> UicSimulator {
         UicSimulator {
             state: CascadeState::new(g),
